@@ -27,27 +27,15 @@
 #include "src/obs/observer.h"
 #include "src/obs/prof/profiler.h"
 #include "src/sim/job_simulator.h"
-#include "src/util/calendar_queue.h"
-#include "src/util/event_queue.h"
 #include "src/util/thread_pool.h"
 #include "src/workload/job_generator.h"
 
 namespace jockey {
 namespace {
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    EventQueue eq;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      eq.ScheduleAt(static_cast<double>(i % 100), [&fired]() { ++fired; });
-    }
-    eq.RunAll();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
+// Set in code rather than by --benchmark_min_time, whose accepted syntax differs
+// across google-benchmark versions ("0.05" vs "0.05s").
+constexpr double kMinTimeSeconds = 0.05;
 
 // Shared fixture data built once.
 struct SimFixture {
@@ -81,7 +69,7 @@ void BM_JobSimulatorRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.tmpl.graph.num_tasks());
 }
-BENCHMARK(BM_JobSimulatorRun)->Arg(10)->Arg(40)->Arg(100);
+BENCHMARK(BM_JobSimulatorRun)->Arg(10)->Arg(40)->Arg(100)->MinTime(kMinTimeSeconds);
 
 void BM_BuildCompletionTable(benchmark::State& state) {
   SimFixture& f = Fixture();
@@ -94,7 +82,11 @@ void BM_BuildCompletionTable(benchmark::State& state) {
     benchmark::DoNotOptimize(table.TotalSamples());
   }
 }
-BENCHMARK(BM_BuildCompletionTable)->Arg(2)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BuildCompletionTable)
+    ->Arg(2)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTimeSeconds);
 
 // The parallel precompute at 1/2/4/8 workers (bit-identical output at any count; see
 // completion_model.h). Speedup is bounded by the machine's core count.
@@ -109,7 +101,7 @@ void BM_BuildCompletionTableThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildCompletionTableThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->MinTime(kMinTimeSeconds);
 
 // The runtime query the control loop issues ~100x per tick, on the frozen table:
 // two array lookups plus interpolation, no sorting, no allocation.
@@ -128,7 +120,7 @@ void BM_CompletionTablePredictFrozen(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CompletionTablePredictFrozen);
+BENCHMARK(BM_CompletionTablePredictFrozen)->MinTime(kMinTimeSeconds);
 
 // range(0) selects the observability attachment: 0 = detached (the default-null
 // Observer; the baseline), 1 = NullSink + registry (full emission path, discarded
@@ -163,7 +155,7 @@ void BM_ControlLoopTick(benchmark::State& state) {
     jsonl_buffer.str("");
   }
 }
-BENCHMARK(BM_ControlLoopTick)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_ControlLoopTick)->Arg(0)->Arg(1)->Arg(2)->MinTime(kMinTimeSeconds);
 
 void BM_IndicatorEvaluate(benchmark::State& state) {
   SimFixture& f = Fixture();
@@ -173,7 +165,7 @@ void BM_IndicatorEvaluate(benchmark::State& state) {
     benchmark::DoNotOptimize(indicator->Evaluate(frac));
   }
 }
-BENCHMARK(BM_IndicatorEvaluate);
+BENCHMARK(BM_IndicatorEvaluate)->MinTime(kMinTimeSeconds);
 
 // range(0): 0 = detached observer (baseline), 1 = NullSink + registry (the ≤2%
 // overhead contract on scheduler-event emission sites).
@@ -197,7 +189,11 @@ void BM_ClusterSimulatorRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * f.tmpl.graph.num_tasks());
 }
-BENCHMARK(BM_ClusterSimulatorRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterSimulatorRun)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTimeSeconds);
 
 // Wall-clock report for the precompute pipeline: table-build time at 1 vs N threads
 // plus per-Predict latency, as machine-readable JSON (BENCH_precompute.json). The
@@ -686,114 +682,15 @@ void WritePostmortemReport(const char* path) {
               events.size(), attempts, best_ms, events_per_sec / 1e6);
 }
 
-// Event-engine throughput report (BENCH_sim.json), three sections:
-//
-//  1. queue — the hold model (pop one event, schedule its successor) on a fixed
-//     seeded workload, run through the legacy closure EventQueue (std::function
-//     payloads: one heap allocation + type-erased dispatch per event, 48-byte heap
-//     nodes) and through the typed engines in calendar_queue.h. The acceptance bar
-//     lives here: the calendar engine must clear >= 3x the legacy queue's events/s.
-//  2. cluster — full ClusterSimulator runs on the calendar vs the typed-heap
-//     engine, reporting events/s (via events_processed()) and tasks/s. The queue is
-//     only part of that loop, so this speedup is reported for the trajectory, not
-//     gated.
-//  3. async_sink — the hot-loop cost AsyncJsonlSink adds to the simulation thread
-//     vs a detached observer, same paired-median methodology as BENCH_obs.json,
-//     <= 2% budget on the control-tick hot path, measured in producer-thread CPU
-//     time so the writer thread's formatting is charged to the writer on any core
-//     count (details at the section below). End-to-end traced-run wall times
-//     (async at the default batch vs the synchronous JsonlSink) are reported
-//     unbudgeted as context.
+// Simulation-thread cost of asynchronous tracing (BENCH_sim.json): the hot-loop
+// cost AsyncJsonlSink adds to the simulation thread vs a detached observer, same
+// paired-median methodology as BENCH_obs.json, <= 2% budget on the control-tick hot
+// path, measured in producer-thread CPU time so the writer thread's formatting is
+// charged to the writer on any core count (details below). End-to-end traced-run
+// wall times (async at the default batch vs the synchronous JsonlSink) are reported
+// unbudgeted as context.
 void WriteSimReport(const char* path) {
   SimFixture& f = Fixture();
-
-  // --- Section 1: raw queue hold model -------------------------------------
-  // ~128k resident events — a fleet-scale cluster's worth of in-flight task
-  // completions and timers (tens of thousands of machines x slots) — with the
-  // simulators' delay mix: second-scale exponential
-  // gaps (task completions, ticks), a 2% minutes-scale tail (recovery timers,
-  // speculation waits), and a 0.1% hour-scale tail (the Poisson machine-failure
-  // chain) — the far tails exercise the calendar's overflow heap. The delay
-  // stream is drawn once up front and indexed by both arms: identical workload,
-  // and no RNG cost inside the timed loop diluting the queue-cost ratio.
-  constexpr int kHoldPending = 131072;
-  constexpr int kHoldEvents = 300000;
-  constexpr uint64_t kHoldSeed = 4242;
-  std::vector<double> delays(static_cast<size_t>(kHoldPending) + kHoldEvents);
-  {
-    Rng rng(kHoldSeed);
-    for (double& d : delays) {
-      d = rng.Exponential(5.0);
-      double tail = rng.Uniform();
-      if (tail < 0.001) {
-        d += 3600.0;
-      } else if (tail < 0.02) {
-        d += 120.0;
-      }
-    }
-  }
-
-  // Payload mirroring ClusterSimulator::SimEvent's job/task/attempt fields.
-  struct HoldEvent {
-    int32_t a = 0;
-    int32_t b = 0;
-    uint64_t handle = 0;
-  };
-
-  auto typed_hold_ns = [&](EventEngine engine) {
-    SimEventQueue<HoldEvent> q(engine);
-    size_t di = 0;
-    for (int i = 0; i < kHoldPending; ++i) {
-      q.ScheduleAt(delays[di++], HoldEvent{i, 2 * i, static_cast<uint64_t>(i)});
-    }
-    uint64_t checksum = 0;
-    HoldEvent ev;
-    auto start = std::chrono::steady_clock::now();
-    for (int fired = 0; fired < kHoldEvents; ++fired) {
-      q.PopNext(ev);
-      checksum += ev.handle;
-      ++ev.handle;
-      q.ScheduleAt(q.now() + delays[di++], ev);
-    }
-    double ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-                    .count() /
-                kHoldEvents;
-    benchmark::DoNotOptimize(checksum);
-    return ns;
-  };
-
-  // The closure arm replicates what the simulators used to schedule: a lambda over
-  // this + job/task ids + an attempt handle (24 bytes of captures — past
-  // std::function's SBO, so every event heap-allocates exactly like the old
-  // ClusterSimulator task-end closures did).
-  struct ClosureHold {
-    EventQueue eq;
-    const std::vector<double>& delays;
-    size_t di = 0;
-    uint64_t checksum = 0;
-    explicit ClosureHold(const std::vector<double>& d) : delays(d) {}
-    void Schedule(int32_t a, int32_t b, uint64_t handle) {
-      eq.ScheduleAt(eq.now() + delays[di++], [this, a, b, handle]() {
-        checksum += handle;
-        Schedule(a, b, handle + 1);
-      });
-    }
-  };
-  auto closure_hold_ns = [&]() {
-    ClosureHold hold(delays);
-    for (int i = 0; i < kHoldPending; ++i) {
-      hold.Schedule(i, 2 * i, static_cast<uint64_t>(i));
-    }
-    auto start = std::chrono::steady_clock::now();
-    for (int fired = 0; fired < kHoldEvents; ++fired) {
-      hold.eq.Step();
-    }
-    double ns = std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-                    .count() /
-                kHoldEvents;
-    benchmark::DoNotOptimize(hold.checksum);
-    return ns;
-  };
 
   auto median = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());
@@ -801,80 +698,6 @@ void WriteSimReport(const char* path) {
     return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
   };
 
-  // Paired reps, alternating which arm runs first; the speedup is the median of
-  // per-pair ratios (same drift-cancelling rationale as WriteObsReport).
-  constexpr int kQueueReps = 9;
-  double closure_ns = 1e300;
-  double calendar_ns = 1e300;
-  double heap_ns = 1e300;
-  std::vector<double> queue_ratios;
-  for (int rep = 0; rep < kQueueReps; ++rep) {
-    double lc;
-    double cal;
-    if (rep % 2 == 0) {
-      lc = closure_hold_ns();
-      cal = typed_hold_ns(EventEngine::kCalendar);
-    } else {
-      cal = typed_hold_ns(EventEngine::kCalendar);
-      lc = closure_hold_ns();
-    }
-    heap_ns = std::min(heap_ns, typed_hold_ns(EventEngine::kLegacyHeap));
-    queue_ratios.push_back(lc / cal);
-    closure_ns = std::min(closure_ns, lc);
-    calendar_ns = std::min(calendar_ns, cal);
-  }
-  double queue_speedup = median(queue_ratios);
-
-  // --- Section 2: full cluster-sim runs on each engine ---------------------
-  uint64_t cluster_events = 0;
-  uint64_t cluster_tasks = 0;
-  auto cluster_rep_ms = [&](EventEngine engine) {
-    cluster_events = 0;
-    cluster_tasks = 0;
-    auto start = std::chrono::steady_clock::now();
-    for (int job = 0; job < 3; ++job) {
-      ClusterConfig config;
-      config.num_machines = 50;
-      config.seed = 11 + static_cast<uint64_t>(job);
-      config.event_engine = engine;
-      ClusterSimulator cluster(config);
-      JobSubmission submission;
-      submission.guaranteed_tokens = 40;
-      int id = cluster.SubmitJob(f.tmpl, submission);
-      cluster.Run();
-      benchmark::DoNotOptimize(cluster.result(id).CompletionSeconds());
-      cluster_events += cluster.events_processed();
-      cluster_tasks += static_cast<uint64_t>(f.tmpl.graph.num_tasks());
-    }
-    return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-        .count();
-  };
-
-  constexpr int kClusterReps = 21;
-  double cluster_cal_ms = 1e300;
-  double cluster_heap_ms = 1e300;
-  std::vector<double> cluster_ratios;
-  for (int rep = 0; rep < kClusterReps; ++rep) {
-    double ch;
-    double cc;
-    if (rep % 2 == 0) {
-      ch = cluster_rep_ms(EventEngine::kLegacyHeap);
-      cc = cluster_rep_ms(EventEngine::kCalendar);
-    } else {
-      cc = cluster_rep_ms(EventEngine::kCalendar);
-      ch = cluster_rep_ms(EventEngine::kLegacyHeap);
-    }
-    cluster_ratios.push_back(ch / cc);
-    cluster_cal_ms = std::min(cluster_cal_ms, cc);
-    cluster_heap_ms = std::min(cluster_heap_ms, ch);
-  }
-  double cluster_speedup = median(cluster_ratios);
-  double cluster_cal_eps = static_cast<double>(cluster_events) / (cluster_cal_ms / 1000.0);
-  double cluster_heap_eps = static_cast<double>(cluster_events) / (cluster_heap_ms / 1000.0);
-  double cluster_cal_tps = static_cast<double>(cluster_tasks) / (cluster_cal_ms / 1000.0);
-  double cluster_heap_tps = static_cast<double>(cluster_tasks) / (cluster_heap_ms / 1000.0);
-
-  // --- Section 3: async sink hot-loop overhead -----------------------------
   // The contract bounds what the SIMULATION THREAD pays per event: an append into
   // a recycled batch buffer plus one mutex hop per batch; formatting and I/O
   // belong to the writer thread. Wall clock cannot see that split on a shared
@@ -1038,21 +861,6 @@ void WriteSimReport(const char* path) {
       out,
       "{\n"
       "  \"hardware_concurrency\": %d,\n"
-      "  \"queue\": {\n"
-      "    \"hold_pending\": %d,\n"
-      "    \"ns_per_event\": {\"legacy_closure\": %.1f, \"typed_heap\": %.1f, "
-      "\"calendar\": %.1f},\n"
-      "    \"events_per_sec\": {\"legacy_closure\": %.0f, \"typed_heap\": %.0f, "
-      "\"calendar\": %.0f},\n"
-      "    \"calendar_speedup_vs_legacy\": %.2f,\n"
-      "    \"speedup_floor\": 3.0\n"
-      "  },\n"
-      "  \"cluster\": {\n"
-      "    \"run_ms\": {\"legacy_heap\": %.3f, \"calendar\": %.3f},\n"
-      "    \"events_per_sec\": {\"legacy_heap\": %.0f, \"calendar\": %.0f},\n"
-      "    \"tasks_per_sec\": {\"legacy_heap\": %.0f, \"calendar\": %.0f},\n"
-      "    \"calendar_speedup\": %.3f\n"
-      "  },\n"
       "  \"async_sink\": {\n"
       "    \"methodology\": \"producer-thread CPU time, warmed sink at default batch, "
       "paired-median vs detached\",\n"
@@ -1064,19 +872,12 @@ void WriteSimReport(const char* path) {
       "    \"end_to_end_traced_ms\": {\"jsonl_sync\": %.3f, \"async_default_batch\": %.3f}\n"
       "  }\n"
       "}\n",
-      ThreadPool::DefaultThreadCount(), kHoldPending, closure_ns, heap_ns, calendar_ns,
-      1e9 / closure_ns, 1e9 / heap_ns, 1e9 / calendar_ns, queue_speedup, cluster_heap_ms / 3.0,
-      cluster_cal_ms / 3.0, cluster_heap_eps, cluster_cal_eps, cluster_heap_tps, cluster_cal_tps,
-      cluster_speedup, tick_detached_ns, tick_async_ns, async_tick_overhead_pct,
-      cluster_detached_cpu_ms / 3.0, cluster_async_cpu_ms / 3.0, async_cluster_overhead_pct,
-      traced_sync_ms / 3.0, traced_async_ms / 3.0);
+      ThreadPool::DefaultThreadCount(), tick_detached_ns, tick_async_ns,
+      async_tick_overhead_pct, cluster_detached_cpu_ms / 3.0, cluster_async_cpu_ms / 3.0,
+      async_cluster_overhead_pct, traced_sync_ms / 3.0, traced_async_ms / 3.0);
   std::fclose(out);
-  std::printf("BENCH_sim.json: queue %.0f ns/event legacy / %.0f ns calendar (%.2fx), "
-              "cluster %.2fM events/s calendar vs %.2fM heap (%.2fx), "
-              "async sink %+.2f%% tick hot-loop (%+.2f%% cluster producer CPU)\n",
-              closure_ns, calendar_ns, queue_speedup, cluster_cal_eps / 1e6,
-              cluster_heap_eps / 1e6, cluster_speedup, async_tick_overhead_pct,
-              async_cluster_overhead_pct);
+  std::printf("BENCH_sim.json: async sink %+.2f%% tick hot-loop (%+.2f%% cluster producer CPU)\n",
+              async_tick_overhead_pct, async_cluster_overhead_pct);
 }
 
 // Wall-clock report for the control-plane decision cache (BENCH_control.json): a

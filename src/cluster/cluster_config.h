@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/util/calendar_queue.h"
 #include "src/workload/background_load.h"
 
 namespace jockey {
@@ -51,10 +50,6 @@ struct ClusterConfig {
   double superhigh_pressure_factor = 2.0;
   // Background (rest-of-cluster) demand process.
   BackgroundLoadParams background;
-  // Which event-queue engine drives the run. Calendar is the production default;
-  // the legacy heap is kept for the engine-differential determinism test and the
-  // BENCH_sim.json baseline. A seeded run is bit-identical on either engine.
-  EventEngine event_engine = EventEngine::kCalendar;
   uint64_t seed = 1;
 
   int TotalSlots() const { return num_machines * slots_per_machine; }

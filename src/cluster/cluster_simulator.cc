@@ -59,7 +59,6 @@ std::string ValidateClusterConfig(const ClusterConfig& config) {
 
 ClusterSimulator::ClusterSimulator(const ClusterConfig& config)
     : config_(config),
-      eq_(config.event_engine),
       rng_(config.seed),
       background_(config.background, Rng(config.seed).Fork()) {
   const std::string problem = ValidateClusterConfig(config);

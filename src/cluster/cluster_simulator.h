@@ -16,14 +16,12 @@
 // the controller's only actuator is the job's guaranteed-token count — exactly
 // Jockey's mechanism (Section 2.6).
 //
-// Engine: the event loop runs on a typed SimEventQueue (calendar queue by default,
-// selectable via ClusterConfig::event_engine) dispatching small POD event records —
-// no per-event allocation, no type-erased calls. Attempt state lives in a
-// struct-of-arrays arena (attempt_arena.h) keyed by generation-checked handles;
+// Event loop: a CalendarQueue (calendar_queue.h) of small POD event records — no
+// per-event allocation, no type-erased calls; the calendar queue measured fastest on
+// fleet-scale pending-event counts (DESIGN.md, "Event queues"). Attempt state lives
+// in a struct-of-arrays arena (attempt_arena.h) keyed by generation-checked handles;
 // stale timer events (the attempt completed or was killed first) fail the
-// generation check and drop. Equal-time events fire in insertion order on either
-// engine, so a seeded run is bit-identical across engines (verified by the
-// engine-differential test).
+// generation check and drop. Equal-time events fire in insertion order.
 
 #ifndef SRC_CLUSTER_CLUSTER_SIMULATOR_H_
 #define SRC_CLUSTER_CLUSTER_SIMULATOR_H_
@@ -39,7 +37,6 @@
 #include "src/obs/observer.h"
 #include "src/dag/trace.h"
 #include "src/util/calendar_queue.h"
-#include "src/util/event_queue.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/workload/background_load.h"
@@ -147,11 +144,6 @@ class ClusterSimulator {
 
   SimTime now() const { return eq_.now(); }
   int TotalUpSlots() const;
-
-  // Which event engine this run is on, and how many events it has fired — the
-  // numerator of BENCH_sim.json's events/s.
-  EventEngine event_engine() const { return eq_.engine(); }
-  uint64_t events_processed() const { return eq_.popped(); }
 
  private:
   // One queued occurrence: a 24-byte POD record the event loop switches on.
@@ -305,7 +297,7 @@ class ClusterSimulator {
   // Pre-resolved histogram slots (one name lookup at attach, none per event).
   Histogram* exec_seconds_hist_ = nullptr;
   Histogram* completion_seconds_hist_ = nullptr;
-  SimEventQueue<SimEvent> eq_;
+  CalendarQueue<SimEvent> eq_;
   Rng rng_;
   BackgroundLoad background_;
   AttemptArena arena_;

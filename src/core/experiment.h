@@ -138,9 +138,6 @@ struct ExperimentOptions {
   // (in addition to whatever `observer` sink is attached) — the input the postmortem
   // analyzer (obs/analysis/postmortem.h) wants without round-tripping JSONL.
   bool capture_events = false;
-  // Event-queue engine for the experiment cluster. The engine-differential test
-  // runs the same seeded experiment on both and asserts byte-identical traces.
-  EventEngine event_engine = EventEngine::kCalendar;
 };
 
 struct ExperimentResult {

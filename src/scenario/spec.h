@@ -24,7 +24,6 @@
 
 #include "src/core/experiment.h"
 #include "src/fault/fault_plan.h"
-#include "src/util/calendar_queue.h"
 #include "src/workload/job_generator.h"
 
 namespace jockey {
@@ -141,7 +140,6 @@ struct ScenarioSpec {
   uint64_t seed = 1;
   int repeats = 1;
   PolicyKind policy = PolicyKind::kJockey;
-  EventEngine engine = EventEngine::kCalendar;
   bool jitter_input = true;
   bool hardened = false;
   bool use_spare_tokens = true;

@@ -7,7 +7,9 @@ namespace jockey {
 
 namespace {
 // Event payload for the typed queue: a flat task id, or kSampleEvent for the
-// periodic progress sample.
+// periodic progress sample. A binary heap rather than the cluster simulator's
+// calendar queue: a single job keeps few events pending, and the heap measured
+// faster on the C(p,a) build (DESIGN.md, "Event queues").
 constexpr int32_t kSampleEvent = -1;
 }  // namespace
 
@@ -22,7 +24,7 @@ SimRunResult JobSimulator::Run(int allocation, Rng& rng,
   assert(allocation >= 1);
   int s_count = graph_->num_stages();
 
-  SimEventQueue<int32_t> eq(config_.event_engine);
+  HeapEventQueue<int32_t> eq;
   DependencyTracker::State state(tracker_);
   int free_slots = allocation;
   double finish_time = 0.0;

@@ -21,7 +21,6 @@
 #include "src/dag/dependency_tracker.h"
 #include "src/dag/job_graph.h"
 #include "src/dag/profile.h"
-#include "src/util/calendar_queue.h"
 #include "src/util/event_queue.h"
 #include "src/util/rng.h"
 
@@ -36,9 +35,6 @@ struct JobSimulatorConfig {
   double init_latency_cap_seconds = 8.0;
   // Period at which the progress callback fires.
   double sample_period_seconds = 15.0;
-  // Which event-queue engine Run() uses. Bit-identical results on either; the
-  // legacy heap is kept for differential tests and the BENCH_sim.json baseline.
-  EventEngine event_engine = EventEngine::kCalendar;
 };
 
 // Result of one simulated execution.

@@ -1,31 +1,19 @@
-// Typed discrete-event queues: the fleet-scale replacement for the closure-based
-// EventQueue (event_queue.h).
+// Bucketed calendar queue (Brown 1988): the event queue of the cluster simulator,
+// whose fleet workloads keep many events pending (DESIGN.md, "Event queues").
 //
-// Both simulators schedule small POD event records instead of type-erased
-// std::function callbacks, so scheduling an event allocates nothing and firing one
-// is a switch on an event-kind enum. Two engines implement the same API:
+// Events within the current "epoch" (bucket_count * bucket_width seconds) live in a
+// flat slab of fixed-size bucket slots (a contiguous Node array, four slots per
+// bucket, occupancy in a parallel byte array) kept sorted per bucket; a bucket that
+// outgrows its slots spills to a per-bucket vector, and far-future events wait in an
+// overflow min-heap and migrate in when their epoch begins. The flat slab is the
+// point: an insert touches one or two cache lines and the empty-bucket scan reads 64
+// occupancy bytes per line, where vector-of-vectors pays a pointer chase per bucket.
+// Buckets double/halve and the bucket width re-derives from observed inter-event
+// gaps whenever occupancy drifts, so enqueue/dequeue stay O(1) amortized across
+// workloads with second-scale and hour-scale horizons alike.
 //
-//  * CalendarQueue — a bucketed calendar queue (Brown 1988). Events within the
-//    current "epoch" (bucket_count * bucket_width seconds) live in a flat slab of
-//    fixed-size bucket slots (a contiguous Node array, four slots per bucket,
-//    occupancy in a parallel byte array) kept sorted per bucket; a bucket that
-//    outgrows its slots spills to a per-bucket vector, and far-future events wait
-//    in an overflow min-heap and migrate in when their epoch begins. The flat slab
-//    is the point: an insert touches one or two cache lines and the empty-bucket
-//    scan reads 64 occupancy bytes per line, where vector-of-vectors pays a
-//    pointer chase per bucket. Buckets double/halve and the bucket width
-//    re-derives from observed inter-event gaps whenever occupancy drifts, so
-//    enqueue/dequeue stay O(1) amortized across workloads with second-scale and
-//    hour-scale horizons alike.
-//  * HeapEventQueue — a typed binary heap (std::push_heap/pop_heap over a vector),
-//    algorithmically the legacy engine minus the per-event allocation. Retained as
-//    the reference for the engine-differential determinism test and for the
-//    BENCH_sim.json speedup trajectory.
-//
-// Determinism contract (identical to the legacy queue, verified by the
-// differential test): events fire in strictly increasing (when, insertion-seq)
-// order, so equal-time events fire in insertion order. Both engines implement
-// exactly this total order — a seeded simulation is bit-identical on either.
+// Same API and the same (when, insertion-seq) total order as HeapEventQueue
+// (event_queue.h), so a seeded simulation is bit-identical on either.
 
 #ifndef SRC_UTIL_CALENDAR_QUEUE_H_
 #define SRC_UTIL_CALENDAR_QUEUE_H_
@@ -34,99 +22,12 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "src/util/event_queue.h"  // SimTime
+#include "src/util/event_queue.h"  // SimTime, internal::TimedEvent
 
 namespace jockey {
-
-// Which queue implementation a simulator runs on. kCalendar is the default;
-// kLegacyHeap exists for differential tests and benchmark baselines.
-enum class EventEngine {
-  kCalendar,
-  kLegacyHeap,
-};
-
-inline const char* EventEngineName(EventEngine engine) {
-  switch (engine) {
-    case EventEngine::kCalendar:
-      return "calendar";
-    case EventEngine::kLegacyHeap:
-      return "legacy_heap";
-  }
-  return "unknown";
-}
-
-// Inverse of EventEngineName — the one registry scenario files, CLI flags and
-// JSON output share. Returns nullopt for an unknown token.
-inline std::optional<EventEngine> ParseEventEngine(const std::string& token) {
-  for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kLegacyHeap}) {
-    if (token == EventEngineName(engine)) {
-      return engine;
-    }
-  }
-  return std::nullopt;
-}
-
-namespace internal {
-
-template <typename Payload>
-struct TimedEvent {
-  SimTime when = 0.0;
-  uint64_t seq = 0;
-  Payload payload{};
-};
-
-// Strict total order: earlier time first, ties by insertion order.
-template <typename Payload>
-inline bool FiresBefore(const TimedEvent<Payload>& a, const TimedEvent<Payload>& b) {
-  if (a.when != b.when) {
-    return a.when < b.when;
-  }
-  return a.seq < b.seq;
-}
-
-}  // namespace internal
-
-// Typed binary-heap event queue. Same total order as CalendarQueue; kept as the
-// reference engine (see file comment).
-template <typename Payload>
-class HeapEventQueue {
- public:
-  void ScheduleAt(SimTime when, Payload payload) {
-    assert(when >= now_ && "cannot schedule events in the past");
-    heap_.push_back(Node{when, next_seq_++, std::move(payload)});
-    std::push_heap(heap_.begin(), heap_.end(), Later);
-  }
-
-  // Pops the earliest event, advancing now() to its time. False when empty.
-  bool PopNext(Payload& out) {
-    if (heap_.empty()) {
-      return false;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    Node node = std::move(heap_.back());
-    heap_.pop_back();
-    now_ = node.when;
-    out = std::move(node.payload);
-    return true;
-  }
-
-  SimTime now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
-
- private:
-  using Node = internal::TimedEvent<Payload>;
-  static bool Later(const Node& a, const Node& b) { return internal::FiresBefore(b, a); }
-
-  SimTime now_ = 0.0;
-  uint64_t next_seq_ = 0;
-  std::vector<Node> heap_;
-};
 
 // Bucketed calendar queue (see file comment for the design).
 template <typename Payload>
@@ -137,14 +38,16 @@ class CalendarQueue {
     AllocateBuckets(std::max<size_t>(num_buckets, kMinBuckets));
   }
 
+  // Throws std::logic_error if when < now().
   void ScheduleAt(SimTime when, Payload payload) {
-    assert(when >= now_ && "cannot schedule events in the past");
+    internal::CheckNotInPast(when, now_);
     Insert(Node{when, next_seq_++, std::move(payload)});
     ++size_;
     if (size_ > 2 * bucket_count_) {
       Rebuild(2 * bucket_count_);
     }
   }
+  void ScheduleAfter(SimTime delay, Payload p) { ScheduleAt(now_ + delay, std::move(p)); }
 
   // Pops the earliest event, advancing now() to its time. False when empty.
   bool PopNext(Payload& out) {
@@ -389,53 +292,6 @@ class CalendarQueue {
   std::vector<uint8_t> counts_;
   std::vector<Bucket> spill_;
   std::vector<Node> overflow_;
-};
-
-// Runtime-selectable engine with one predictable branch per operation. The
-// simulators hold this so a single ClusterConfig/JobSimulatorConfig field flips a
-// run between engines (the differential determinism test runs both and compares
-// traces byte-for-byte).
-template <typename Payload>
-class SimEventQueue {
- public:
-  explicit SimEventQueue(EventEngine engine = EventEngine::kCalendar) : engine_(engine) {}
-
-  void ScheduleAt(SimTime when, Payload payload) {
-    if (engine_ == EventEngine::kCalendar) {
-      calendar_.ScheduleAt(when, std::move(payload));
-    } else {
-      heap_.ScheduleAt(when, std::move(payload));
-    }
-  }
-  void ScheduleAfter(SimTime delay, Payload payload) {
-    ScheduleAt(now() + delay, std::move(payload));
-  }
-
-  bool PopNext(Payload& out) {
-    bool popped = engine_ == EventEngine::kCalendar ? calendar_.PopNext(out)
-                                                    : heap_.PopNext(out);
-    popped_ += popped ? 1 : 0;
-    return popped;
-  }
-
-  EventEngine engine() const { return engine_; }
-  SimTime now() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.now() : heap_.now();
-  }
-  bool empty() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.empty() : heap_.empty();
-  }
-  size_t pending() const {
-    return engine_ == EventEngine::kCalendar ? calendar_.pending() : heap_.pending();
-  }
-  // Total events fired so far — the numerator of BENCH_sim.json's events/s.
-  uint64_t popped() const { return popped_; }
-
- private:
-  EventEngine engine_;
-  uint64_t popped_ = 0;
-  CalendarQueue<Payload> calendar_;
-  HeapEventQueue<Payload> heap_;
 };
 
 }  // namespace jockey

@@ -29,7 +29,6 @@ name: everything
 seed: 9
 repeats: 2
 policy: jockey
-engine: calendar
 jitter_input: false
 hardened: true
 use_spare_tokens: false
@@ -124,6 +123,21 @@ TEST(ScenarioSpecTest, UnknownTopLevelKeyIsRejectedWithItsLine) {
       "    deadline: tight\n");
   EXPECT_EQ(issue.line, 2);
   EXPECT_EQ(issue.field, "bogus");
+  EXPECT_NE(issue.message.find("unknown key"), std::string::npos);
+}
+
+TEST(ScenarioSpecTest, RemovedEngineKeyIsRejectedWithItsLine) {
+  // Each simulator has one fixed event queue; the old engine switch is an
+  // unknown key now, not a silently ignored one.
+  ScenarioParseIssue issue = MustFail(
+      "name: x\n"
+      "seed: 3\n"
+      "engine: calendar\n"
+      "workload:\n"
+      "  - job: A\n"
+      "    deadline: tight\n");
+  EXPECT_EQ(issue.line, 3);
+  EXPECT_EQ(issue.field, "engine");
   EXPECT_NE(issue.message.find("unknown key"), std::string::npos);
 }
 

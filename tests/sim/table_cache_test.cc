@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "src/obs/jsonl.h"
 #include "src/obs/metrics.h"
 #include "src/obs/observer.h"
@@ -33,8 +35,12 @@ CompletionTable SmallTable(int buckets) {
 
 class TableCacheTest : public testing::Test {
  protected:
+  // ctest runs each test as its own process, in parallel under -j: a directory
+  // per test name and pid keeps one test's SetUp/TearDown off another's entries.
   void SetUp() override {
-    dir_ = testing::TempDir() + "table_cache_status_test";
+    dir_ = testing::TempDir() + "table_cache_status_test_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+           std::to_string(::getpid());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -1,15 +1,18 @@
-// Tests for the typed event engines (calendar_queue.h): the (when, insertion-seq)
-// determinism contract on both engines, calendar-specific behavior (overflow,
-// adaptive resize, epoch jumps), and a randomized lockstep differential against
-// the reference heap engine.
+// Tests for the two typed event queues (event_queue.h, calendar_queue.h): the
+// (when, insertion-seq) determinism contract on both, the loud rejection of events
+// in the past, calendar-specific behavior (overflow, adaptive resize, epoch jumps),
+// and a randomized lockstep differential of the calendar queue against the heap.
 
 #include "src/util/calendar_queue.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/util/event_queue.h"
 #include "src/util/rng.h"
 
 namespace jockey {
@@ -35,28 +38,30 @@ TEST(HeapEventQueueTest, PopsInTimeOrderAndAdvancesNow) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(SimEventQueueTest, EqualTimeEventsFireInInsertionOrderOnBothEngines) {
-  for (EventEngine engine : {EventEngine::kCalendar, EventEngine::kLegacyHeap}) {
-    SCOPED_TRACE(EventEngineName(engine));
-    SimEventQueue<int> q(engine);
-    EXPECT_EQ(q.engine(), engine);
-    q.ScheduleAt(10.0, 1);
-    q.ScheduleAt(10.0, 2);
-    q.ScheduleAt(5.0, 0);
-    q.ScheduleAt(10.0, 3);
+template <typename Queue>
+void ExpectEqualTimesFireInInsertionOrder() {
+  Queue q;
+  q.ScheduleAt(10.0, 1);
+  q.ScheduleAt(10.0, 2);
+  q.ScheduleAt(5.0, 0);
+  q.ScheduleAt(10.0, 3);
 
-    std::vector<int> order;
-    int out = -1;
-    while (q.PopNext(out)) {
-      order.push_back(out);
-    }
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(q.popped(), 4u);
+  std::vector<int> order;
+  int out = -1;
+  while (q.PopNext(out)) {
+    order.push_back(out);
   }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(SimEventQueueTest, ScheduleAfterIsRelativeToCurrentTime) {
-  SimEventQueue<int> q(EventEngine::kCalendar);
+TEST(EventQueuesTest, EqualTimeEventsFireInInsertionOrderOnBothQueues) {
+  ExpectEqualTimesFireInInsertionOrder<HeapEventQueue<int>>();
+  ExpectEqualTimesFireInInsertionOrder<CalendarQueue<int>>();
+}
+
+template <typename Queue>
+void ExpectScheduleAfterIsRelative() {
+  Queue q;
   q.ScheduleAfter(2.0, 1);
   int out = -1;
   ASSERT_TRUE(q.PopNext(out));
@@ -64,6 +69,47 @@ TEST(SimEventQueueTest, ScheduleAfterIsRelativeToCurrentTime) {
   q.ScheduleAfter(3.0, 2);
   ASSERT_TRUE(q.PopNext(out));
   EXPECT_DOUBLE_EQ(q.now(), 5.0);
+}
+
+TEST(EventQueuesTest, ScheduleAfterIsRelativeToCurrentTimeOnBothQueues) {
+  ExpectScheduleAfterIsRelative<HeapEventQueue<int>>();
+  ExpectScheduleAfterIsRelative<CalendarQueue<int>>();
+}
+
+// A past event must throw in every build type (NDEBUG included), naming both
+// times, and leave the queue as it was.
+template <typename Queue>
+void ExpectPastEventThrows() {
+  Queue q;
+  q.ScheduleAt(4.0, 1);
+  q.ScheduleAt(9.0, 2);
+  int out = -1;
+  ASSERT_TRUE(q.PopNext(out));
+  ASSERT_DOUBLE_EQ(q.now(), 4.0);
+  try {
+    q.ScheduleAt(3.5, 3);
+    ADD_FAILURE() << "scheduling into the past did not throw";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("3.5"), std::string::npos) << what;
+    EXPECT_NE(what.find("4.0"), std::string::npos) << what;
+  }
+  EXPECT_THROW(q.ScheduleAfter(-0.25, 4), std::logic_error);
+  EXPECT_EQ(q.pending(), 1u);
+  q.ScheduleAt(q.now(), 5);  // exactly now is allowed
+  ASSERT_TRUE(q.PopNext(out));
+  EXPECT_EQ(out, 5);
+  ASSERT_TRUE(q.PopNext(out));
+  EXPECT_EQ(out, 2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(HeapEventQueueTest, SchedulingIntoThePastThrows) {
+  ExpectPastEventThrows<HeapEventQueue<int>>();
+}
+
+TEST(CalendarQueueTest, SchedulingIntoThePastThrows) {
+  ExpectPastEventThrows<CalendarQueue<int>>();
 }
 
 TEST(CalendarQueueTest, FarFutureEventsWaitInOverflowAndStillFireInOrder) {
@@ -131,9 +177,9 @@ TEST(CalendarQueueTest, PeriodicRescheduleDuringDrainKeepsExactTimes) {
 
 TEST(CalendarQueueTest, LockstepDifferentialAgainstHeapEngine) {
   // Random interleaving of schedules and pops, mixing second-scale delays,
-  // hour-scale far-future tails, and exact-duplicate timestamps. Both engines
+  // hour-scale far-future tails, and exact-duplicate timestamps. Both queues
   // must pop identical (payload, now) sequences throughout — the determinism
-  // contract the engine-differential simulation test relies on.
+  // contract that lets each simulator use either queue without changing a result.
   Rng rng(20260808);
   CalendarQueue<int> cal;
   HeapEventQueue<int> heap;
@@ -164,9 +210,9 @@ TEST(CalendarQueueTest, LockstepDifferentialAgainstHeapEngine) {
       int b = -1;
       bool pa = cal.PopNext(a);
       bool pb = heap.PopNext(b);
-      ASSERT_EQ(pa, pb) << "engines disagree on emptiness at step " << step;
+      ASSERT_EQ(pa, pb) << "queues disagree on emptiness at step " << step;
       if (pa) {
-        ASSERT_EQ(a, b) << "engines diverged at step " << step;
+        ASSERT_EQ(a, b) << "queues diverged at step " << step;
         ASSERT_DOUBLE_EQ(cal.now(), heap.now());
       }
     }
