@@ -1,6 +1,5 @@
 #include "src/fault/fault_plan.h"
 
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -34,21 +33,15 @@ bool FaultKindFromName(const std::string& name, FaultKind* out) {
   return true;
 }
 
-bool ParseDoubleField(const FlatJsonFields& fields, const char* key, double* out) {
-  const std::string* raw = fields.Find(key);
-  if (raw == nullptr) return false;
-  char* end = nullptr;
-  const double value = std::strtod(raw->c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
+bool ParseField(std::string_view raw, double* out) { return ParseJsonNumber(raw, *out); }
+bool ParseField(std::string_view raw, int* out) { return ParseJsonInt(raw, *out); }
+bool ParseField(std::string_view raw, uint64_t* out) { return ParseJsonInt(raw, *out); }
 
-bool ParseIntField(const FlatJsonFields& fields, const char* key, int* out) {
-  double value = 0.0;
-  if (!ParseDoubleField(fields, key, &value)) return false;
-  *out = static_cast<int>(value);
-  return true;
+// A required field must be present and well-formed.
+template <typename T>
+bool ReadRequired(const FlatJsonFields& fields, const char* key, T* out) {
+  const std::string_view* raw = fields.Find(key);
+  return raw != nullptr && ParseField(*raw, out);
 }
 
 std::optional<FaultPlan> Fail(std::string* error, const std::string& message) {
@@ -192,42 +185,54 @@ std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
   FaultPlan plan;
   bool saw_header = false;
   std::string line;
+  FlatJsonFields fields;
   int line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    FlatJsonFields fields;
+    auto fail = [&](const std::string& message) {
+      return Fail(error, "line " + std::to_string(line_no) + ": " + message);
+    };
     if (!ParseFlatJsonObject(line, fields)) {
-      return Fail(error, "line " + std::to_string(line_no) + ": malformed JSON");
+      return fail("malformed JSON");
     }
-    const std::string* kind_name = fields.Find("kind");
+    const std::string_view* kind_name = fields.Find("kind");
     if (kind_name == nullptr) {
-      return Fail(error, "line " + std::to_string(line_no) + ": missing \"kind\"");
+      return fail("missing \"kind\"");
     }
     if (*kind_name == "fault_plan") {
-      double seed = 0.0;
-      if (!ParseDoubleField(fields, "seed", &seed) || seed < 0.0) {
-        return Fail(error, "line " + std::to_string(line_no) + ": bad plan seed");
+      if (!ReadRequired(fields, "seed", &plan.seed_)) {
+        return fail("bad plan seed");
       }
-      plan.seed_ = static_cast<uint64_t>(seed);
       saw_header = true;
       continue;
     }
     FaultWindow w;
-    if (!FaultKindFromName(*kind_name, &w.kind)) {
-      return Fail(error, "line " + std::to_string(line_no) + ": unknown fault kind \"" +
-                             *kind_name + "\"");
+    if (!FaultKindFromName(std::string(*kind_name), &w.kind)) {
+      return fail("unknown fault kind \"" + std::string(*kind_name) + "\"");
     }
-    if (!ParseDoubleField(fields, "start", &w.start_seconds) ||
-        !ParseDoubleField(fields, "end", &w.end_seconds)) {
-      return Fail(error, "line " + std::to_string(line_no) + ": missing start/end");
+    if (!ReadRequired(fields, "start", &w.start_seconds) ||
+        !ReadRequired(fields, "end", &w.end_seconds)) {
+      return fail("missing start/end");
     }
-    // Optional fields keep hand-written plans terse; defaults match FaultWindow.
-    ParseIntField(fields, "job", &w.job);
-    ParseDoubleField(fields, "magnitude", &w.magnitude);
-    ParseIntField(fields, "first_machine", &w.first_machine);
-    ParseIntField(fields, "machine_count", &w.machine_count);
-    ParseDoubleField(fields, "period", &w.period_seconds);
+    // Optional fields keep hand-written plans terse; defaults match FaultWindow. A
+    // present field must still be well-formed: a typo never silently becomes the
+    // default.
+    const char* malformed = nullptr;
+    auto optional = [&](const char* key, auto* out) {
+      const std::string_view* raw = fields.Find(key);
+      if (malformed == nullptr && raw != nullptr && !ParseField(*raw, out)) {
+        malformed = key;
+      }
+    };
+    optional("job", &w.job);
+    optional("magnitude", &w.magnitude);
+    optional("first_machine", &w.first_machine);
+    optional("machine_count", &w.machine_count);
+    optional("period", &w.period_seconds);
+    if (malformed != nullptr) {
+      return fail(std::string("malformed \"") + malformed + "\"");
+    }
     plan.windows_.push_back(w);
   }
   if (!saw_header && plan.windows_.empty()) {

@@ -1,6 +1,7 @@
 #include "src/obs/async_jsonl.h"
 
 #include <ostream>
+#include <string>
 #include <utility>
 
 #ifdef __linux__
@@ -83,6 +84,7 @@ void AsyncJsonlSink::Flush() {
 
 void AsyncJsonlSink::WriterLoop() {
   DropToIdlePriority();
+  std::string text;  // one batch of lines; its capacity is reused across batches
   for (;;) {
     std::vector<TraceEvent> batch;
     {
@@ -96,9 +98,12 @@ void AsyncJsonlSink::WriterLoop() {
       queued_.pop_front();
       writing_ = true;
     }
+    text.clear();
     for (const TraceEvent& event : batch) {
-      *os_ << ToJsonLine(event) << '\n';
+      AppendJsonLine(text, event);
+      text += '\n';
     }
+    os_->write(text.data(), static_cast<std::streamsize>(text.size()));
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(mu_);

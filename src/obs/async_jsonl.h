@@ -7,16 +7,16 @@
 //   simulation thread          writer thread
 //   ----------------          -------------
 //   append event copy to      wait for a published batch
-//   the active buffer;        format each event with ToJsonLine
-//   every batch_events,       and append to the stream;
-//   publish the buffer        recycle the drained buffer
-//   (one mutex hop) and
-//   continue on a recycled
+//   the active buffer;        format the whole batch with
+//   every batch_events,       AppendJsonLine into one reused
+//   publish the buffer        text buffer, write it with one
+//   (one mutex hop) and       os.write, and recycle the
+//   continue on a recycled    drained buffer
 //   buffer
 //
 // Output is byte-identical to JsonlSink over the same event sequence: events are
 // buffered in emission order, batches queue in order, and one writer formats them
-// in order with the same ToJsonLine. The destructor publishes the tail, joins the
+// in order with the same AppendJsonLine. The destructor publishes the tail, joins the
 // writer, and flushes the stream — dropping the sink never drops trace lines.
 //
 // Threading contract (the documented exception to observer.h's "sinks are not

@@ -1,11 +1,9 @@
 #include "src/obs/jsonl.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
 #include <istream>
 #include <ostream>
+#include <unordered_map>
 #include <utility>
 
 #include "src/obs/json_format.h"
@@ -13,35 +11,56 @@
 namespace jockey {
 namespace {
 
-void AppendField(std::string& out, const char* key, const std::string& value) {
+// --- Writer: appends `,"key":value` fields straight into the caller's buffer. ---
+
+void AppendKey(std::string& out, std::string_view key) {
   out += ",\"";
   out += key;
   out += "\":";
+}
+
+void AppendNum(std::string& out, std::string_view key, double value) {
+  AppendKey(out, key);
+  AppendJsonNumber(out, value);
+}
+
+void AppendInt(std::string& out, std::string_view key, int64_t value) {
+  AppendKey(out, key);
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+void AppendUint(std::string& out, std::string_view key, uint64_t value) {
+  AppendKey(out, key);
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+void AppendBool(std::string& out, std::string_view key, bool value) {
+  AppendKey(out, key);
+  out += value ? "true" : "false";
+}
+
+// Enumerator names are plain identifiers: nothing to escape.
+void AppendName(std::string& out, std::string_view key, const char* value) {
+  AppendKey(out, key);
+  out += '"';
   out += value;
-}
-
-void AppendNum(std::string& out, const char* key, double value) {
-  AppendField(out, key, JsonNumber(value));
-}
-
-void AppendInt(std::string& out, const char* key, int64_t value) {
-  AppendField(out, key, std::to_string(value));
-}
-
-void AppendBool(std::string& out, const char* key, bool value) {
-  AppendField(out, key, value ? "true" : "false");
-}
-
-void AppendStr(std::string& out, const char* key, const char* value) {
-  AppendField(out, key, JsonString(value));
+  out += '"';
 }
 
 // 64-bit cache keys exceed the exactly-representable double range, so they travel
-// as fixed-width hex strings.
-void AppendKey(std::string& out, const char* key, uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "\"%016llx\"", static_cast<unsigned long long>(value));
-  AppendField(out, key, buffer);
+// as fixed-width lowercase hex strings.
+void AppendHex(std::string& out, std::string_view key, uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  AppendKey(out, key);
+  char buffer[18];
+  buffer[0] = '"';
+  for (int i = 16; i >= 1; --i, value >>= 4) {
+    buffer[i] = kDigits[value & 0xf];
+  }
+  buffer[17] = '"';
+  out.append(buffer, sizeof(buffer));
 }
 
 struct LineWriter {
@@ -74,18 +93,18 @@ struct LineWriter {
     AppendNum(*out, "elapsed", e.elapsed_seconds);
   }
   void operator()(const TableCacheLookupEvent& e) const {
-    AppendKey(*out, "key", e.key);
-    AppendStr(*out, "code", CacheCodeName(e.code));
-    AppendInt(*out, "bytes", static_cast<int64_t>(e.bytes));
+    AppendHex(*out, "key", e.key);
+    AppendName(*out, "code", CacheCodeName(e.code));
+    AppendUint(*out, "bytes", e.bytes);
   }
   void operator()(const TableCacheStoreEvent& e) const {
-    AppendKey(*out, "key", e.key);
-    AppendStr(*out, "code", CacheCodeName(e.code));
-    AppendInt(*out, "bytes", static_cast<int64_t>(e.bytes));
+    AppendHex(*out, "key", e.key);
+    AppendName(*out, "code", CacheCodeName(e.code));
+    AppendUint(*out, "bytes", e.bytes);
   }
   void operator()(const TableCacheEvictEvent& e) const {
-    AppendKey(*out, "key", e.key);
-    AppendInt(*out, "bytes", static_cast<int64_t>(e.bytes));
+    AppendHex(*out, "key", e.key);
+    AppendUint(*out, "bytes", e.bytes);
   }
   void operator()(const JobSubmitEvent& e) const {
     AppendInt(*out, "job", e.job);
@@ -114,7 +133,7 @@ struct LineWriter {
     AppendInt(*out, "job", e.job);
     AppendInt(*out, "stage", e.stage);
     AppendInt(*out, "task", e.task);
-    AppendStr(*out, "reason", KillReasonName(e.reason));
+    AppendName(*out, "reason", KillReasonName(e.reason));
     AppendBool(*out, "requeued", e.requeued);
   }
   void operator()(const SpeculativeLaunchEvent& e) const {
@@ -126,12 +145,10 @@ struct LineWriter {
     AppendInt(*out, "machine", e.machine);
     AppendInt(*out, "killed", e.tasks_killed);
   }
-  void operator()(const MachineRecoverEvent& e) const {
-    AppendInt(*out, "machine", e.machine);
-  }
+  void operator()(const MachineRecoverEvent& e) const { AppendInt(*out, "machine", e.machine); }
   void operator()(const FaultInjectedEvent& e) const {
     // "fault" rather than "kind": the line's "kind" field names the event.
-    AppendStr(*out, "fault", FaultKindName(e.fault));
+    AppendName(*out, "fault", FaultKindName(e.fault));
     AppendInt(*out, "window", e.window);
     AppendInt(*out, "job", e.job);
     AppendNum(*out, "magnitude", e.magnitude);
@@ -140,7 +157,7 @@ struct LineWriter {
   }
   void operator()(const DegradedDecisionEvent& e) const {
     AppendInt(*out, "job", e.job);
-    AppendStr(*out, "mode", DegradeModeName(e.mode));
+    AppendName(*out, "mode", DegradeModeName(e.mode));
     AppendNum(*out, "elapsed", e.elapsed_seconds);
     AppendNum(*out, "report_age", e.report_age_seconds);
     AppendInt(*out, "granted", e.granted_tokens);
@@ -154,8 +171,8 @@ struct LineWriter {
   }
   void operator()(const SloStateChangeEvent& e) const {
     AppendInt(*out, "job", e.job);
-    AppendStr(*out, "from", SloStateName(e.from));
-    AppendStr(*out, "to", SloStateName(e.to));
+    AppendName(*out, "from", SloStateName(e.from));
+    AppendName(*out, "to", SloStateName(e.to));
     AppendNum(*out, "elapsed", e.elapsed_seconds);
     AppendNum(*out, "slack", e.slack_seconds);
   }
@@ -164,391 +181,326 @@ struct LineWriter {
     AppendNum(*out, "elapsed", e.elapsed_seconds);
     AppendNum(*out, "progress", e.progress);
     AppendInt(*out, "raw", e.raw_allocation);
-    AppendKey(*out, "signature", e.signature);
+    AppendHex(*out, "signature", e.signature);
   }
 };
 
-// --- Reader: a minimal parser for the flat one-level objects the writer emits. ---
+// --- Tokenizer: one pass over the line, values as views, no copies unless escaped. ---
 
-using FieldMap = FlatJsonFields;
-
-void SkipSpace(const std::string& s, size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
+// The "C"-locale isspace set, without the locale lookup.
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-bool ParseQuoted(const std::string& s, size_t& i, std::string& out) {
-  if (i >= s.size() || s[i] != '"') {
-    return false;
-  }
-  ++i;
-  out.clear();
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      switch (s[i]) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        default:
-          out.push_back(s[i]);  // \" \\ \/ and anything else: literal
-      }
-    } else {
-      out.push_back(s[i]);
-    }
-    ++i;
-  }
-  if (i >= s.size()) {
-    return false;
-  }
-  ++i;  // closing quote
-  return true;
-}
+class Tokenizer {
+ public:
+  Tokenizer(std::string_view line, std::string& unescaped) : s_(line), unescaped_(unescaped) {}
 
-bool ParseFlatObjectImpl(const std::string& line, FieldMap& out) {
-  size_t i = 0;
-  SkipSpace(line, i);
-  if (i >= line.size() || line[i] != '{') {
-    return false;
+  void SkipSpace() {
+    while (i_ < s_.size() && IsSpace(s_[i_])) {
+      ++i_;
+    }
   }
-  ++i;
-  SkipSpace(line, i);
-  if (i < line.size() && line[i] == '}') {
-    return true;
-  }
-  while (true) {
-    SkipSpace(line, i);
-    std::string key;
-    if (!ParseQuoted(line, i, key)) {
-      return false;
-    }
-    SkipSpace(line, i);
-    if (i >= line.size() || line[i] != ':') {
-      return false;
-    }
-    ++i;
-    SkipSpace(line, i);
-    std::string value;
-    if (i < line.size() && line[i] == '"') {
-      if (!ParseQuoted(line, i, value)) {
-        return false;
-      }
-    } else {
-      size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') {
-        ++i;
-      }
-      value = line.substr(start, i - start);
-      while (!value.empty() && std::isspace(static_cast<unsigned char>(value.back())) != 0) {
-        value.pop_back();
-      }
-      if (value.empty()) {
-        return false;
-      }
-    }
-    out.fields.emplace_back(std::move(key), std::move(value));
-    SkipSpace(line, i);
-    if (i >= line.size()) {
-      return false;
-    }
-    if (line[i] == '}') {
+  bool AtEnd() const { return i_ >= s_.size(); }
+  char Peek() const { return s_[i_]; }
+  bool Consume(char c) {
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
       return true;
     }
-    if (line[i] != ',') {
-      return false;
-    }
-    ++i;
-  }
-}
-
-// Records the first field a parser clause rejected — what strict mode reports.
-// The && chains in ParsePayload short-circuit, so the first Get* to fail is the one
-// whose key lands here.
-struct FieldFail {
-  const char* field = nullptr;
-
-  bool Miss(const char* key) {
-    if (field == nullptr) {
-      field = key;
-    }
     return false;
   }
+
+  // A "..." string. Escapes: \n \t \r decode, any other escaped byte is itself.
+  // Without a backslash the result is a view into the line; with one, the string is
+  // decoded into `unescaped`, which is reserved to the line's length on first use —
+  // decoded text never outgrows its source — so earlier views into it stay valid.
+  bool Quoted(std::string_view& out) {
+    if (!Consume('"')) {
+      return false;
+    }
+    size_t start = i_;
+    while (i_ < s_.size() && s_[i_] != '"' && s_[i_] != '\\') {
+      ++i_;
+    }
+    if (i_ >= s_.size()) {
+      return false;
+    }
+    if (s_[i_] == '"') {
+      out = s_.substr(start, i_ - start);
+      ++i_;
+      return true;
+    }
+    if (unescaped_.capacity() < s_.size()) {
+      unescaped_.reserve(s_.size());
+    }
+    size_t begin = unescaped_.size();
+    unescaped_.append(s_.data() + start, i_ - start);
+    while (i_ < s_.size() && s_[i_] != '"') {
+      char c = s_[i_];
+      if (c == '\\' && i_ + 1 < s_.size()) {
+        c = s_[++i_];
+        c = c == 'n' ? '\n' : c == 't' ? '\t' : c == 'r' ? '\r' : c;
+      }
+      unescaped_.push_back(c);
+      ++i_;
+    }
+    if (i_ >= s_.size()) {
+      return false;
+    }
+    ++i_;  // closing quote
+    out = std::string_view(unescaped_.data() + begin, unescaped_.size() - begin);
+    return true;
+  }
+
+  // A bare (unquoted) value: everything up to the next ',' or '}', trailing space
+  // trimmed; never empty.
+  bool Bare(std::string_view& out) {
+    size_t start = i_;
+    while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}') {
+      ++i_;
+    }
+    size_t end = i_;
+    while (end > start && IsSpace(s_[end - 1])) {
+      --end;
+    }
+    out = s_.substr(start, end - start);
+    return !out.empty();
+  }
+
+ private:
+  std::string_view s_;
+  size_t i_ = 0;
+  std::string& unescaped_;
 };
 
-bool GetNum(const FieldMap& m, const char* key, double& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
+// --- Reader: typed field access over one tokenized trace line. ---
+
+// Reads typed fields and records the first one that was missing or malformed —
+// what strict mode reports. The && chains in the payload readers short-circuit, so
+// the first failing read is the one whose key lands here. The accessors are
+// defined out of line: twenty payload readers call them, and one copy each keeps
+// the reader compact.
+class FieldReader {
+ public:
+  explicit FieldReader(const FlatJsonFields& fields) : fields_(fields) {}
+
+  const char* failed() const { return failed_; }
+
+  bool Num(const char* key, double& out);
+  bool Int(const char* key, int& out);
+  bool Uint(const char* key, uint64_t& out);
+  bool Bool(const char* key, bool& out);
+  // Exactly the 16 lowercase hex digits AppendHex emits.
+  bool Hex(const char* key, uint64_t& out);
+  // One of the enumerators 0..last, by name.
+  template <typename E>
+  bool Enum(const char* key, E& out, const char* (*name)(E), E last);
+
+ private:
+  bool Miss(const char* key);
+
+  const FlatJsonFields& fields_;
+  const char* failed_ = nullptr;
+};
+
+bool FieldReader::Miss(const char* key) {
+  if (failed_ == nullptr) {
+    failed_ = key;
   }
-  char* end = nullptr;
-  out = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0') {
-    return fail.Miss(key);
+  return false;
+}
+
+bool FieldReader::Num(const char* key, double& out) {
+  const std::string_view* v = fields_.Find(key);
+  return (v != nullptr && ParseJsonNumber(*v, out)) || Miss(key);
+}
+
+bool FieldReader::Int(const char* key, int& out) {
+  const std::string_view* v = fields_.Find(key);
+  return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
+}
+
+bool FieldReader::Uint(const char* key, uint64_t& out) {
+  const std::string_view* v = fields_.Find(key);
+  return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
+}
+
+bool FieldReader::Bool(const char* key, bool& out) {
+  const std::string_view* v = fields_.Find(key);
+  if (v != nullptr && (*v == "true" || *v == "false")) {
+    out = *v == "true";
+    return true;
   }
+  return Miss(key);
+}
+
+bool FieldReader::Hex(const char* key, uint64_t& out) {
+  const std::string_view* v = fields_.Find(key);
+  if (v == nullptr || v->size() != 16) {
+    return Miss(key);
+  }
+  uint64_t value = 0;
+  for (char c : *v) {
+    int digit = c >= '0' && c <= '9' ? c - '0' : c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
+    if (digit < 0) {
+      return Miss(key);
+    }
+    value = value << 4 | static_cast<uint64_t>(digit);
+  }
+  out = value;
   return true;
 }
 
-bool GetInt(const FieldMap& m, const char* key, int& out, FieldFail& fail) {
-  double d = 0.0;
-  if (!GetNum(m, key, d, fail)) {
+template <typename E>
+bool FieldReader::Enum(const char* key, E& out, const char* (*name)(E), E last) {
+  const std::string_view* v = fields_.Find(key);
+  if (v != nullptr) {
+    for (int i = 0; i <= static_cast<int>(last); ++i) {
+      if (*v == name(static_cast<E>(i))) {
+        out = static_cast<E>(i);
+        return true;
+      }
+    }
+  }
+  return Miss(key);
+}
+
+bool Read(FieldReader& r, ControlTickEvent& e) {
+  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds) &&
+         r.Num("progress", e.progress) && r.Num("prediction", e.predicted_remaining_seconds) &&
+         r.Num("utility", e.utility) && r.Num("raw", e.raw_allocation) &&
+         r.Num("smoothed", e.smoothed_allocation) && r.Int("granted", e.granted_tokens) &&
+         r.Num("model_speed", e.model_speed);
+}
+bool Read(FieldReader& r, PredictionLookupEvent& e) {
+  return r.Int("job", e.job) && r.Num("progress", e.progress) &&
+         r.Num("allocation", e.allocation) && r.Num("prediction", e.predicted_remaining_seconds);
+}
+bool Read(FieldReader& r, AllocationChangeEvent& e) {
+  return r.Int("job", e.job) && r.Int("from", e.from_tokens) && r.Int("to", e.to_tokens);
+}
+bool Read(FieldReader& r, UtilityChangeEvent& e) {
+  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds);
+}
+bool Read(FieldReader& r, TableCacheLookupEvent& e) {
+  return r.Hex("key", e.key) && r.Enum("code", e.code, CacheCodeName, CacheCode::kDisabled) &&
+         r.Uint("bytes", e.bytes);
+}
+bool Read(FieldReader& r, TableCacheStoreEvent& e) {
+  return r.Hex("key", e.key) && r.Enum("code", e.code, CacheCodeName, CacheCode::kDisabled) &&
+         r.Uint("bytes", e.bytes);
+}
+bool Read(FieldReader& r, TableCacheEvictEvent& e) {
+  return r.Hex("key", e.key) && r.Uint("bytes", e.bytes);
+}
+bool Read(FieldReader& r, JobSubmitEvent& e) {
+  return r.Int("job", e.job) && r.Int("tokens", e.guaranteed_tokens);
+}
+bool Read(FieldReader& r, JobFinishEvent& e) {
+  return r.Int("job", e.job) && r.Num("completion", e.completion_seconds);
+}
+bool Read(FieldReader& r, TaskDispatchEvent& e) {
+  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
+         r.Int("machine", e.machine) && r.Bool("spare", e.spare) &&
+         r.Bool("speculative", e.speculative);
+}
+bool Read(FieldReader& r, TaskCompleteEvent& e) {
+  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
+         r.Bool("spare", e.spare) && r.Bool("speculative", e.speculative);
+}
+bool Read(FieldReader& r, TaskKilledEvent& e) {
+  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
+         r.Enum("reason", e.reason, KillReasonName, KillReason::kMachineFailure) &&
+         r.Bool("requeued", e.requeued);
+}
+bool Read(FieldReader& r, SpeculativeLaunchEvent& e) {
+  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task);
+}
+bool Read(FieldReader& r, MachineFailureEvent& e) {
+  return r.Int("machine", e.machine) && r.Int("killed", e.tasks_killed);
+}
+bool Read(FieldReader& r, MachineRecoverEvent& e) { return r.Int("machine", e.machine); }
+bool Read(FieldReader& r, FaultInjectedEvent& e) {
+  return r.Enum("fault", e.fault, FaultKindName, FaultKind::kAdversarialSpike) &&
+         r.Int("window", e.window) && r.Int("job", e.job) && r.Num("magnitude", e.magnitude) &&
+         r.Num("detail", e.detail) && r.Num("detail2", e.detail2);
+}
+bool Read(FieldReader& r, DegradedDecisionEvent& e) {
+  return r.Int("job", e.job) &&
+         r.Enum("mode", e.mode, DegradeModeName, DegradeMode::kStragglerEscalation) &&
+         r.Num("elapsed", e.elapsed_seconds) && r.Num("report_age", e.report_age_seconds) &&
+         r.Int("granted", e.granted_tokens) && r.Num("value", e.value);
+}
+bool Read(FieldReader& r, TaskReadyEvent& e) {
+  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
+         r.Bool("requeued", e.requeued);
+}
+bool Read(FieldReader& r, SloStateChangeEvent& e) {
+  return r.Int("job", e.job) && r.Enum("from", e.from, SloStateName, SloState::kMissed) &&
+         r.Enum("to", e.to, SloStateName, SloState::kMissed) &&
+         r.Num("elapsed", e.elapsed_seconds) && r.Num("slack", e.slack_seconds);
+}
+bool Read(FieldReader& r, ControlDecisionCachedEvent& e) {
+  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds) &&
+         r.Num("progress", e.progress) && r.Int("raw", e.raw_allocation) &&
+         r.Hex("signature", e.signature);
+}
+
+using PayloadReader = bool (*)(FieldReader&, TraceEventPayload&);
+
+// Builds payload alternative I in place and reads its fields.
+template <size_t I>
+bool ReadAlternative(FieldReader& r, TraceEventPayload& payload) {
+  return Read(r, payload.emplace<I>());
+}
+
+// The kind dispatch table: event-kind name -> payload reader. EventKind's values are
+// the variant's alternative indices (KindCoversAllVariantAlternatives pins this).
+const std::unordered_map<std::string_view, PayloadReader>& PayloadReaders() {
+  static const std::unordered_map<std::string_view, PayloadReader> readers =
+      []<size_t... I>(std::index_sequence<I...>) {
+        return std::unordered_map<std::string_view, PayloadReader>{
+            {EventKindName(static_cast<EventKind>(I)), &ReadAlternative<I>}...};
+      }(std::make_index_sequence<std::variant_size_v<TraceEventPayload>>());
+  return readers;
+}
+
+// ParseTraceLine over caller-owned field storage, so a stream reader reuses it.
+bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEvent& event,
+                        TraceParseIssue* issue) {
+  auto fail = [issue](const char* field, std::string message) {
+    if (issue != nullptr) {
+      issue->field = field;
+      issue->message = std::move(message);
+    }
     return false;
+  };
+  if (!ParseFlatJsonObject(line, fields)) {
+    return fail("", "malformed JSON object");
   }
-  out = static_cast<int>(d);
-  return true;
-}
-
-bool GetBool(const FieldMap& m, const char* key, bool& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
+  const std::string_view* t = fields.Find("t");
+  if (t == nullptr || !ParseJsonNumber(*t, event.time_seconds)) {
+    return fail("t", "missing or non-numeric timestamp");
   }
-  if (*v == "true") {
-    out = true;
-    return true;
+  const std::string_view* kind = fields.Find("kind");
+  if (kind == nullptr) {
+    return fail("kind", "missing kind");
   }
-  if (*v == "false") {
-    out = false;
-    return true;
+  auto reader = PayloadReaders().find(*kind);
+  if (reader == PayloadReaders().end()) {
+    return fail("kind", "unknown kind '" + std::string(*kind) + "'");
   }
-  return fail.Miss(key);
-}
-
-bool GetKey(const FieldMap& m, const char* key, uint64_t& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr || v->empty()) {
-    return fail.Miss(key);
-  }
-  char* end = nullptr;
-  out = std::strtoull(v->c_str(), &end, 16);
-  if (end != v->c_str() + v->size()) {
-    return fail.Miss(key);
+  FieldReader r(fields);
+  if (!reader->second(r, event.payload)) {
+    return fail(r.failed(), "missing or malformed field");
   }
   return true;
-}
-
-bool GetCacheCode(const FieldMap& m, const char* key, CacheCode& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
-  }
-  for (int c = 0; c <= static_cast<int>(CacheCode::kDisabled); ++c) {
-    if (*v == CacheCodeName(static_cast<CacheCode>(c))) {
-      out = static_cast<CacheCode>(c);
-      return true;
-    }
-  }
-  return fail.Miss(key);
-}
-
-bool GetKillReason(const FieldMap& m, const char* key, KillReason& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
-  }
-  for (int r = 0; r <= static_cast<int>(KillReason::kMachineFailure); ++r) {
-    if (*v == KillReasonName(static_cast<KillReason>(r))) {
-      out = static_cast<KillReason>(r);
-      return true;
-    }
-  }
-  return fail.Miss(key);
-}
-
-bool GetFaultKind(const FieldMap& m, const char* key, FaultKind& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
-  }
-  for (int k = 0; k <= static_cast<int>(FaultKind::kAdversarialSpike); ++k) {
-    if (*v == FaultKindName(static_cast<FaultKind>(k))) {
-      out = static_cast<FaultKind>(k);
-      return true;
-    }
-  }
-  return fail.Miss(key);
-}
-
-bool GetSloState(const FieldMap& m, const char* key, SloState& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
-  }
-  for (int s = 0; s <= static_cast<int>(SloState::kMissed); ++s) {
-    if (*v == SloStateName(static_cast<SloState>(s))) {
-      out = static_cast<SloState>(s);
-      return true;
-    }
-  }
-  return fail.Miss(key);
-}
-
-bool GetDegradeMode(const FieldMap& m, const char* key, DegradeMode& out, FieldFail& fail) {
-  const std::string* v = m.Find(key);
-  if (v == nullptr) {
-    return fail.Miss(key);
-  }
-  for (int d = 0; d <= static_cast<int>(DegradeMode::kStragglerEscalation); ++d) {
-    if (*v == DegradeModeName(static_cast<DegradeMode>(d))) {
-      out = static_cast<DegradeMode>(d);
-      return true;
-    }
-  }
-  return fail.Miss(key);
-}
-
-std::optional<TraceEventPayload> ParsePayload(const std::string& kind, const FieldMap& m,
-                                              FieldFail& fail) {
-  if (kind == "control_tick") {
-    ControlTickEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetNum(m, "elapsed", e.elapsed_seconds, fail) &&
-        GetNum(m, "progress", e.progress, fail) &&
-        GetNum(m, "prediction", e.predicted_remaining_seconds, fail) &&
-        GetNum(m, "utility", e.utility, fail) && GetNum(m, "raw", e.raw_allocation, fail) &&
-        GetNum(m, "smoothed", e.smoothed_allocation, fail) &&
-        GetInt(m, "granted", e.granted_tokens, fail) &&
-        GetNum(m, "model_speed", e.model_speed, fail)) {
-      return e;
-    }
-  } else if (kind == "prediction_lookup") {
-    PredictionLookupEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetNum(m, "progress", e.progress, fail) &&
-        GetNum(m, "allocation", e.allocation, fail) &&
-        GetNum(m, "prediction", e.predicted_remaining_seconds, fail)) {
-      return e;
-    }
-  } else if (kind == "allocation_change") {
-    AllocationChangeEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "from", e.from_tokens, fail) &&
-        GetInt(m, "to", e.to_tokens, fail)) {
-      return e;
-    }
-  } else if (kind == "utility_change") {
-    UtilityChangeEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetNum(m, "elapsed", e.elapsed_seconds, fail)) {
-      return e;
-    }
-  } else if (kind == "table_cache_lookup") {
-    TableCacheLookupEvent e;
-    double bytes = 0.0;
-    if (GetKey(m, "key", e.key, fail) && GetCacheCode(m, "code", e.code, fail) &&
-        GetNum(m, "bytes", bytes, fail)) {
-      e.bytes = static_cast<uint64_t>(bytes);
-      return e;
-    }
-  } else if (kind == "table_cache_store") {
-    TableCacheStoreEvent e;
-    double bytes = 0.0;
-    if (GetKey(m, "key", e.key, fail) && GetCacheCode(m, "code", e.code, fail) &&
-        GetNum(m, "bytes", bytes, fail)) {
-      e.bytes = static_cast<uint64_t>(bytes);
-      return e;
-    }
-  } else if (kind == "table_cache_evict") {
-    TableCacheEvictEvent e;
-    double bytes = 0.0;
-    if (GetKey(m, "key", e.key, fail) && GetNum(m, "bytes", bytes, fail)) {
-      e.bytes = static_cast<uint64_t>(bytes);
-      return e;
-    }
-  } else if (kind == "job_submit") {
-    JobSubmitEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "tokens", e.guaranteed_tokens, fail)) {
-      return e;
-    }
-  } else if (kind == "job_finish") {
-    JobFinishEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetNum(m, "completion", e.completion_seconds, fail)) {
-      return e;
-    }
-  } else if (kind == "task_dispatch") {
-    TaskDispatchEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "stage", e.stage, fail) &&
-        GetInt(m, "task", e.task, fail) && GetInt(m, "machine", e.machine, fail) &&
-        GetBool(m, "spare", e.spare, fail) && GetBool(m, "speculative", e.speculative, fail)) {
-      return e;
-    }
-  } else if (kind == "task_complete") {
-    TaskCompleteEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "stage", e.stage, fail) &&
-        GetInt(m, "task", e.task, fail) && GetBool(m, "spare", e.spare, fail) &&
-        GetBool(m, "speculative", e.speculative, fail)) {
-      return e;
-    }
-  } else if (kind == "task_killed") {
-    TaskKilledEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "stage", e.stage, fail) &&
-        GetInt(m, "task", e.task, fail) && GetKillReason(m, "reason", e.reason, fail) &&
-        GetBool(m, "requeued", e.requeued, fail)) {
-      return e;
-    }
-  } else if (kind == "task_ready") {
-    TaskReadyEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "stage", e.stage, fail) &&
-        GetInt(m, "task", e.task, fail) && GetBool(m, "requeued", e.requeued, fail)) {
-      return e;
-    }
-  } else if (kind == "slo_state_change") {
-    SloStateChangeEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetSloState(m, "from", e.from, fail) &&
-        GetSloState(m, "to", e.to, fail) && GetNum(m, "elapsed", e.elapsed_seconds, fail) &&
-        GetNum(m, "slack", e.slack_seconds, fail)) {
-      return e;
-    }
-  } else if (kind == "control_decision_cached") {
-    ControlDecisionCachedEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetNum(m, "elapsed", e.elapsed_seconds, fail) &&
-        GetNum(m, "progress", e.progress, fail) &&
-        GetInt(m, "raw", e.raw_allocation, fail) &&
-        GetKey(m, "signature", e.signature, fail)) {
-      return e;
-    }
-  } else if (kind == "speculative_launch") {
-    SpeculativeLaunchEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetInt(m, "stage", e.stage, fail) &&
-        GetInt(m, "task", e.task, fail)) {
-      return e;
-    }
-  } else if (kind == "machine_failure") {
-    MachineFailureEvent e;
-    if (GetInt(m, "machine", e.machine, fail) && GetInt(m, "killed", e.tasks_killed, fail)) {
-      return e;
-    }
-  } else if (kind == "machine_recover") {
-    MachineRecoverEvent e;
-    if (GetInt(m, "machine", e.machine, fail)) {
-      return e;
-    }
-  } else if (kind == "fault_injected") {
-    FaultInjectedEvent e;
-    if (GetFaultKind(m, "fault", e.fault, fail) && GetInt(m, "window", e.window, fail) &&
-        GetInt(m, "job", e.job, fail) && GetNum(m, "magnitude", e.magnitude, fail) &&
-        GetNum(m, "detail", e.detail, fail) && GetNum(m, "detail2", e.detail2, fail)) {
-      return e;
-    }
-  } else if (kind == "degraded_decision") {
-    DegradedDecisionEvent e;
-    if (GetInt(m, "job", e.job, fail) && GetDegradeMode(m, "mode", e.mode, fail) &&
-        GetNum(m, "elapsed", e.elapsed_seconds, fail) &&
-        GetNum(m, "report_age", e.report_age_seconds, fail) &&
-        GetInt(m, "granted", e.granted_tokens, fail) && GetNum(m, "value", e.value, fail)) {
-      return e;
-    }
-  } else {
-    fail.Miss("kind");
-  }
-  return std::nullopt;
 }
 
 }  // namespace
 
-const std::string* FlatJsonFields::Find(const char* key) const {
+const std::string_view* FlatJsonFields::Find(std::string_view key) const {
   for (const auto& [k, v] : fields) {
     if (k == key) {
       return &v;
@@ -557,95 +509,103 @@ const std::string* FlatJsonFields::Find(const char* key) const {
   return nullptr;
 }
 
-bool ParseFlatJsonObject(const std::string& line, FlatJsonFields& out) {
-  return ParseFlatObjectImpl(line, out);
+bool ParseFlatJsonObject(std::string_view line, FlatJsonFields& out) {
+  out.fields.clear();
+  out.unescaped.clear();
+  Tokenizer tok(line, out.unescaped);
+  tok.SkipSpace();
+  if (!tok.Consume('{')) {
+    return false;
+  }
+  tok.SkipSpace();
+  if (tok.Consume('}')) {
+    return true;
+  }
+  while (true) {
+    std::string_view key;
+    std::string_view value;
+    tok.SkipSpace();
+    if (!tok.Quoted(key)) {
+      return false;
+    }
+    tok.SkipSpace();
+    if (!tok.Consume(':')) {
+      return false;
+    }
+    tok.SkipSpace();
+    if (!(tok.AtEnd() || tok.Peek() != '"' ? tok.Bare(value) : tok.Quoted(value))) {
+      return false;
+    }
+    out.fields.emplace_back(key, value);
+    tok.SkipSpace();
+    if (tok.Consume('}')) {
+      return true;
+    }
+    if (!tok.Consume(',')) {
+      return false;
+    }
+  }
+}
+
+void AppendJsonLine(std::string& out, const TraceEvent& event) {
+  out += "{\"t\":";
+  AppendJsonNumber(out, event.time_seconds);
+  out += ",\"kind\":\"";
+  out += EventKindName(event.kind());
+  out += '"';
+  std::visit(LineWriter{&out}, event.payload);
+  out += '}';
 }
 
 std::string ToJsonLine(const TraceEvent& event) {
   std::string out;
-  out.reserve(160);
-  out += "{\"t\":";
-  out += JsonNumber(event.time_seconds);
-  out += ",\"kind\":\"";
-  out += EventKindName(event.kind());
-  out += "\"";
-  std::visit(LineWriter{&out}, event.payload);
-  out += "}";
+  AppendJsonLine(out, event);
   return out;
 }
 
-std::optional<TraceEvent> ParseTraceLine(const std::string& line, TraceParseIssue* issue) {
-  FieldMap fields;
-  if (!ParseFlatObjectImpl(line, fields)) {
-    if (issue != nullptr) {
-      issue->field.clear();
-      issue->message = "malformed JSON object";
-    }
-    return std::nullopt;
-  }
-  FieldFail fail;
-  double t = 0.0;
-  if (!GetNum(fields, "t", t, fail)) {
-    if (issue != nullptr) {
-      issue->field = "t";
-      issue->message = "missing or non-numeric timestamp";
-    }
-    return std::nullopt;
-  }
-  const std::string* kind = fields.Find("kind");
-  if (kind == nullptr) {
-    if (issue != nullptr) {
-      issue->field = "kind";
-      issue->message = "missing kind";
-    }
-    return std::nullopt;
-  }
-  std::optional<TraceEventPayload> payload = ParsePayload(*kind, fields, fail);
-  if (!payload.has_value()) {
-    if (issue != nullptr) {
-      if (fail.field != nullptr && std::string(fail.field) == "kind") {
-        issue->field = "kind";
-        issue->message = "unknown kind '" + *kind + "'";
-      } else {
-        issue->field = fail.field != nullptr ? fail.field : "";
-        issue->message = "missing or malformed field";
-      }
-    }
-    return std::nullopt;
-  }
+std::optional<TraceEvent> ParseTraceLine(std::string_view line, TraceParseIssue* issue) {
+  FlatJsonFields fields;
   TraceEvent event;
-  event.time_seconds = t;
-  event.payload = std::move(*payload);
+  if (!ParseTraceLineInto(line, fields, event, issue)) {
+    return std::nullopt;
+  }
   return event;
 }
 
 TraceReadResult ReadJsonlTrace(std::istream& is, bool strict) {
   TraceReadResult result;
   std::string line;
+  FlatJsonFields fields;
+  TraceEvent event;
+  TraceParseIssue issue;
   int line_number = 0;
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty()) {
       continue;
     }
-    TraceParseIssue issue;
-    if (std::optional<TraceEvent> event = ParseTraceLine(line, &issue)) {
-      result.events.push_back(std::move(*event));
-    } else {
-      ++result.malformed_lines;
-      if (!result.first_issue.has_value()) {
-        issue.line_number = line_number;
-        result.first_issue = std::move(issue);
-      }
-      if (strict) {
-        break;
-      }
+    if (ParseTraceLineInto(line, fields, event, &issue)) {
+      result.events.push_back(event);
+      continue;
+    }
+    ++result.malformed_lines;
+    if (!result.first_issue.has_value()) {
+      issue.line_number = line_number;
+      result.first_issue = std::move(issue);
+    }
+    if (strict) {
+      break;
     }
   }
   return result;
 }
 
-void JsonlSink::OnEvent(const TraceEvent& event) { *os_ << ToJsonLine(event) << '\n'; }
+void JsonlSink::OnEvent(const TraceEvent& event) {
+  line_.clear();
+  AppendJsonLine(line_, event);
+  line_ += '\n';
+  os_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
+}
 
 namespace {
 

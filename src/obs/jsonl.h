@@ -20,6 +20,8 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/obs/observer.h"
@@ -27,20 +29,29 @@
 
 namespace jockey {
 
-// A flat one-level JSON object split into (key, raw value text) pairs; string
-// values are stored unquoted and unescaped. This is the parsing layer under the
-// trace reader, exposed so other flat-JSONL readers (the fault-plan loader,
-// fault_plan.cc) share one parser instead of growing a second dialect.
+// A flat one-level JSON object split into (key, value text) pairs; string values are
+// stored unquoted and unescaped. This is the one tokenizer under every flat-JSONL
+// reader — traces here, fault plans (fault_plan.cc) and time series
+// (timeseries.cc) — so there is a single dialect. Keys and values are views into
+// the parsed line, or into `unescaped` for the rare string holding a backslash
+// escape: they stay valid while that line does and until the next parse into the
+// same object. Reuse one object across lines to parse without allocating.
 struct FlatJsonFields {
-  std::vector<std::pair<std::string, std::string>> fields;
+  std::vector<std::pair<std::string_view, std::string_view>> fields;
+  std::string unescaped;  // backing storage for escaped strings, reused across lines
 
-  const std::string* Find(const char* key) const;
+  // The first value stored under `key`, or nullptr.
+  const std::string_view* Find(std::string_view key) const;
 };
 
-// Parses one `{"k":v,...}` line into `out`. Returns false on malformed input.
-bool ParseFlatJsonObject(const std::string& line, FlatJsonFields& out);
+// Parses one `{"k":v,...}` line into `out`, replacing its previous contents.
+// Returns false on malformed input.
+bool ParseFlatJsonObject(std::string_view line, FlatJsonFields& out);
 
-// One line, no trailing newline.
+// Appends one line, no trailing newline: the writer behind every trace sink.
+void AppendJsonLine(std::string& out, const TraceEvent& event);
+
+// AppendJsonLine into a fresh string.
 std::string ToJsonLine(const TraceEvent& event);
 
 // Where and why a line failed to parse: the 1-based line number (0 when parsing a
@@ -54,7 +65,7 @@ struct TraceParseIssue {
 
 // Inverse of ToJsonLine. Returns nullopt for malformed lines or unknown kinds; when
 // `issue` is non-null it is filled with the offending field and message.
-std::optional<TraceEvent> ParseTraceLine(const std::string& line,
+std::optional<TraceEvent> ParseTraceLine(std::string_view line,
                                          TraceParseIssue* issue = nullptr);
 
 struct TraceReadResult {
@@ -78,6 +89,7 @@ class JsonlSink final : public ObserverSink {
 
  private:
   std::ostream* os_;
+  std::string line_;  // reused formatting buffer
 };
 
 void WriteChromeTrace(std::ostream& os, const std::vector<TraceEvent>& events);

@@ -1,7 +1,6 @@
 #include "src/obs/timeseries/timeseries.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -241,35 +240,16 @@ struct LineCtx {
   std::string error;  // first missing/malformed field
 
   bool Num(const char* key, double& out) {
-    const std::string* v = fields.Find(key);
-    if (v == nullptr) {
-      return Fail(key);
-    }
-    char* end = nullptr;
-    out = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0') {
-      return Fail(key);
-    }
-    return true;
+    const std::string_view* v = fields.Find(key);
+    return (v != nullptr && ParseJsonNumber(*v, out)) || Fail(key);
   }
-  bool Int(const char* key, int& out) {
-    double d = 0.0;
-    if (!Num(key, d)) {
-      return false;
-    }
-    out = static_cast<int>(d);
-    return true;
-  }
-  bool Int64(const char* key, int64_t& out) {
-    double d = 0.0;
-    if (!Num(key, d)) {
-      return false;
-    }
-    out = static_cast<int64_t>(d);
-    return true;
+  template <typename T>
+  bool Int(const char* key, T& out) {
+    const std::string_view* v = fields.Find(key);
+    return (v != nullptr && ParseJsonInt(*v, out)) || Fail(key);
   }
   bool Bool(const char* key, bool& out) {
-    const std::string* v = fields.Find(key);
+    const std::string_view* v = fields.Find(key);
     if (v == nullptr || (*v != "true" && *v != "false")) {
       return Fail(key);
     }
@@ -277,7 +257,7 @@ struct LineCtx {
     return true;
   }
   bool State(const char* key, SloState& out) {
-    const std::string* v = fields.Find(key);
+    const std::string_view* v = fields.Find(key);
     if (v == nullptr) {
       return Fail(key);
     }
@@ -314,6 +294,7 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
   TimeSeriesReadResult result;
   TimeSeries series;
   std::string line;
+  FlatJsonFields fields;
   int line_number = 0;
   auto fail = [&](const std::string& message) {
     result.line = line_number;
@@ -325,11 +306,10 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
     if (line.empty()) {
       continue;
     }
-    FlatJsonFields fields;
     if (!ParseFlatJsonObject(line, fields)) {
       return fail("malformed JSON object");
     }
-    const std::string* kind = fields.Find("kind");
+    const std::string_view* kind = fields.Find("kind");
     if (kind == nullptr) {
       return fail("missing kind");
     }
@@ -344,7 +324,7 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
       double deadline = 0.0;
       if (!ctx.Int("run", run.run) || !ctx.Num("period", period) ||
           !ctx.Num("deadline", deadline) ||
-          !ctx.Int64("cluster_dropped", run.dropped_cluster_samples)) {
+          !ctx.Int("cluster_dropped", run.dropped_cluster_samples)) {
         return fail(ctx.error);
       }
       if (run.run != static_cast<int>(series.runs.size())) {
@@ -402,11 +382,11 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
           !ctx.Bool("finished", timeline.finished) ||
           !ctx.Num("completion", timeline.completion_seconds) ||
           !ctx.State("final", timeline.final_state) ||
-          !ctx.Int64("dropped", timeline.dropped_samples)) {
+          !ctx.Int("dropped", timeline.dropped_samples)) {
         return fail(ctx.error);
       }
     } else {
-      return fail("unknown kind '" + *kind + "'");
+      return fail("unknown kind '" + std::string(*kind) + "'");
     }
   }
   result.series = std::move(series);

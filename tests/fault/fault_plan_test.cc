@@ -179,5 +179,41 @@ TEST(FaultPlanTest, LoadRejectsGarbage) {
   EXPECT_NE(error.find("staleness lag"), std::string::npos);
 }
 
+// Present-but-malformed fields are errors, never silent defaults or casts: each
+// hostile line is rejected and the message names what was wrong.
+TEST(FaultPlanTest, LoadRejectsMalformedPresentFields) {
+  struct Case {
+    const char* text;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"{\"kind\":\"fault_plan\",\"seed\":1e300}\n", "bad plan seed"},
+      {"{\"kind\":\"fault_plan\",\"seed\":nan}\n", "bad plan seed"},
+      {"{\"kind\":\"fault_plan\",\"seed\":-1}\n", "bad plan seed"},
+      {"{\"kind\":\"fault_plan\",\"seed\":7.5}\n", "bad plan seed"},
+      {"{\"kind\":\"control_blackout\",\"start\":\"\",\"end\":120}\n", "start/end"},
+      {"{\"kind\":\"control_blackout\",\"start\":60,\"end\":inf}\n", "start/end"},
+      {"{\"kind\":\"control_blackout\",\"start\":60,\"end\":120,\"job\":\"oops\"}\n",
+       "\"job\""},
+      {"{\"kind\":\"control_blackout\",\"start\":60,\"end\":120,\"job\":1e300}\n",
+       "\"job\""},
+      {"{\"kind\":\"machine_burst\",\"start\":0,\"end\":1,\"first_machine\":0,"
+       "\"machine_count\":2.5}\n",
+       "\"machine_count\""},
+      {"{\"kind\":\"report_stale\",\"start\":0,\"end\":1,\"magnitude\":\"\"}\n",
+       "\"magnitude\""},
+      {"{\"kind\":\"adversarial_spike\",\"start\":0,\"end\":1,\"magnitude\":1,"
+       "\"period\":nan}\n",
+       "\"period\""},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(c.text);
+    std::string error;
+    EXPECT_FALSE(FaultPlan::Load(in, &error).has_value()) << c.text;
+    EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+    EXPECT_NE(error.find(c.expect), std::string::npos) << error;
+  }
+}
+
 }  // namespace
 }  // namespace jockey

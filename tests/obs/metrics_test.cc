@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 #include "src/obs/json_format.h"
@@ -96,7 +98,12 @@ TEST(MetricsTest, WriteJsonIsDeterministicAcrossInsertionOrder) {
 TEST(MetricsTest, JsonNumberRoundTripsDoubles) {
   for (double v : {0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, -0.0, 2.5}) {
     std::string text = JsonNumber(v);
-    EXPECT_DOUBLE_EQ(std::stod(text), v) << text;
+    double parsed = std::stod(text);
+    uint64_t want = 0;
+    uint64_t got = 0;
+    std::memcpy(&want, &v, sizeof(v));
+    std::memcpy(&got, &parsed, sizeof(parsed));
+    EXPECT_EQ(got, want) << text;  // bit equality: keeps the sign of -0.0 too
   }
   EXPECT_EQ(JsonNumber(std::nan("")), "null");
 }

@@ -231,6 +231,42 @@ TEST(TimeSeriesJsonlTest, ReaderReportsLineAndField) {
   EXPECT_EQ(read.line, 1);
 }
 
+// Integer fields must be in-range integer tokens and numbers finite decimals: each
+// hostile sample line is rejected at line 2 with the field named.
+TEST(TimeSeriesJsonlTest, ReaderRejectsNonCanonicalNumbers) {
+  const std::string header =
+      "{\"t\":0,\"kind\":\"ts_run\",\"run\":0,\"period\":60,\"deadline\":-1,"
+      "\"cluster_dropped\":0}\n";
+  struct Case {
+    const char* line;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"{\"t\":60,\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1e300,"
+       "\"background\":1,\"spare\":1}",
+       "up"},
+      {"{\"t\":60,\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1.75,"
+       "\"background\":1,\"spare\":1}",
+       "up"},
+      {"{\"t\":60,\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":nan,\"up\":1,"
+       "\"background\":1,\"spare\":1}",
+       "utilization"},
+      {"{\"t\":60,\"kind\":\"ts_job_end\",\"run\":0,\"job\":0,\"deadline\":1,"
+       "\"finished\":true,\"completion\":1,\"final\":\"on_track\",\"dropped\":-1e300}",
+       "dropped"},
+      {"{\"t\":\"\",\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1,"
+       "\"background\":1,\"spare\":1}",
+       "'t'"},
+  };
+  for (const Case& c : cases) {
+    std::istringstream in(header + c.line + "\n");
+    TimeSeriesReadResult read = ReadTimeSeriesJsonl(in);
+    EXPECT_FALSE(read.series.has_value()) << c.line;
+    EXPECT_EQ(read.line, 2) << c.line;
+    EXPECT_NE(read.message.find(c.field), std::string::npos) << read.message;
+  }
+}
+
 TimeSeries TwoRunFixture() {
   TimeSeriesRecorder recorder(SmallConfig());
   recorder.BeginRun(1000.0);

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -90,6 +91,30 @@ TEST(TraceJsonlTest, EveryFaultKindAndDegradeModeRoundTrips) {
   }
 }
 
+// The same walk for the remaining enums on the wire.
+TEST(TraceJsonlTest, EveryCacheCodeKillReasonAndSloStateRoundTrips) {
+  std::vector<TraceEvent> events;
+  for (int c = 0; c <= static_cast<int>(CacheCode::kDisabled); ++c) {
+    events.emplace_back(0.0, TableCacheLookupEvent{7, static_cast<CacheCode>(c), 64});
+    events.emplace_back(0.0, TableCacheStoreEvent{7, static_cast<CacheCode>(c), 64});
+  }
+  for (int r = 0; r <= static_cast<int>(KillReason::kMachineFailure); ++r) {
+    events.emplace_back(3.0, TaskKilledEvent{1, 2, 3, static_cast<KillReason>(r), false});
+  }
+  for (int from = 0; from <= static_cast<int>(SloState::kMissed); ++from) {
+    for (int to = 0; to <= static_cast<int>(SloState::kMissed); ++to) {
+      events.emplace_back(9.0, SloStateChangeEvent{4, static_cast<SloState>(from),
+                                                   static_cast<SloState>(to), 9.0, -1.5});
+    }
+  }
+  for (const TraceEvent& event : events) {
+    std::string line = ToJsonLine(event);
+    std::optional<TraceEvent> parsed = ParseTraceLine(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_EQ(ToJsonLine(*parsed), line);
+  }
+}
+
 TEST(TraceJsonlTest, KindCoversAllVariantAlternatives) {
   std::vector<TraceEvent> events = AllKindsSample();
   // The sample must keep up with the payload variant: a new alternative without a
@@ -159,6 +184,71 @@ TEST(TraceJsonlTest, ParseIssueNamesOffendingField) {
   EXPECT_EQ(issue.field, "machine");
 }
 
+// Lines the strict reader must reject, each naming the offending field: anything it
+// accepts must re-serialize to the same canonical bytes, and nothing may reach an
+// out-of-range float-to-int conversion.
+TEST(TraceJsonlTest, RejectsNonCanonicalAndOutOfRangeFields) {
+  struct Case {
+    const char* line;
+    const char* field;
+  };
+  const Case cases[] = {
+      {R"({"t":1,"kind":"job_submit","job":1e300,"tokens":1})", "job"},
+      {R"({"t":1,"kind":"job_submit","job":1.75,"tokens":1})", "job"},
+      {R"({"t":1,"kind":"job_submit","job":2147483648,"tokens":1})", "job"},
+      {R"({"t":1,"kind":"job_submit","job":1,"tokens":""})", "tokens"},
+      {R"({"t":1,"kind":"job_submit","job":+1,"tokens":1})", "job"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"0000000000000001","bytes":-5})", "bytes"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"0000000000000001","bytes":1.5})", "bytes"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"-1","bytes":5})", "key"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"1","bytes":5})", "key"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"DEADBEEFCAFEF00D","bytes":5})", "key"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"0x00000000000001","bytes":5})", "key"},
+      {R"({"t":0,"kind":"table_cache_evict","key":"00000000000000001","bytes":5})", "key"},
+      {R"({"t":1,"kind":"control_decision_cached","job":1,"elapsed":1,"progress":0,"raw":2,"signature":"g000000000000000"})",
+       "signature"},
+      {R"({"t":1,"kind":"job_finish","job":1,"completion":nan})", "completion"},
+      {R"({"t":1,"kind":"job_finish","job":1,"completion":inf})", "completion"},
+      {R"({"t":1,"kind":"job_finish","job":1,"completion":0x10})", "completion"},
+      {R"({"t":nan,"kind":"job_finish","job":1,"completion":1})", "t"},
+      {R"({"t":1e999,"kind":"job_finish","job":1,"completion":1})", "t"},
+  };
+  for (const Case& c : cases) {
+    TraceParseIssue issue;
+    EXPECT_FALSE(ParseTraceLine(c.line, &issue).has_value()) << c.line;
+    EXPECT_EQ(issue.field, c.field) << c.line;
+  }
+}
+
+// The tokenizer keeps string values as views into the line unless they hold an
+// escape; escaped keys and values decode into reused side storage.
+TEST(FlatJsonTest, EscapedStringsDecodeAndPlainOnesStayViews) {
+  FlatJsonFields fields;
+  std::string line = R"({"plain":"abc","esc\"key":"a\\b\nc","num": 12 ,"last":"x\ty"})";
+  ASSERT_TRUE(ParseFlatJsonObject(line, fields));
+  ASSERT_EQ(fields.fields.size(), 4u);
+  const std::string_view* plain = fields.Find("plain");
+  ASSERT_NE(plain, nullptr);
+  EXPECT_EQ(*plain, "abc");
+  EXPECT_GE(plain->data(), line.data());
+  EXPECT_LT(plain->data(), line.data() + line.size());
+  const std::string_view* escaped = fields.Find("esc\"key");
+  ASSERT_NE(escaped, nullptr);
+  EXPECT_EQ(*escaped, "a\\b\nc");
+  EXPECT_EQ(*fields.Find("num"), "12");
+  EXPECT_EQ(*fields.Find("last"), "x\ty");
+
+  // Reuse replaces the previous contents.
+  ASSERT_TRUE(ParseFlatJsonObject(R"({"only":1})", fields));
+  ASSERT_EQ(fields.fields.size(), 1u);
+  EXPECT_EQ(fields.Find("plain"), nullptr);
+
+  for (const char* bad : {"", "[]", "{", R"({"a")", R"({"a":})", R"({"a":1)",
+                          R"({a:1})", R"({"a":"unterminated})"}) {
+    EXPECT_FALSE(ParseFlatJsonObject(bad, fields)) << bad;
+  }
+}
+
 JobTemplate SmallJob(uint64_t seed = 50) {
   JobShapeSpec spec;
   spec.name = "small";
@@ -193,7 +283,8 @@ std::string SerializedClusterTrace(uint64_t seed, MetricsRegistry* metrics) {
   JobSubmission submission;
   submission.guaranteed_tokens = 6;
   submission.seed = 77;
-  int id = cluster.SubmitJob(SmallJob(), submission);
+  JobTemplate job = SmallJob();  // the simulator keeps a reference until Run() ends
+  int id = cluster.SubmitJob(job, submission);
   cluster.Run();
   EXPECT_TRUE(cluster.result(id).finished);
   std::string out;
@@ -223,7 +314,8 @@ TEST(TraceDeterminismTest, CountersMatchClusterRunResult) {
   JobSubmission submission;
   submission.guaranteed_tokens = 6;
   submission.seed = 31;
-  int id = cluster.SubmitJob(SmallJob(), submission);
+  JobTemplate job = SmallJob();  // the simulator keeps a reference until Run() ends
+  int id = cluster.SubmitJob(job, submission);
   cluster.Run();
   const ClusterRunResult& r = cluster.result(id);
   ASSERT_TRUE(r.finished);
