@@ -8,14 +8,17 @@
 //
 //  * one slot per in-flight attempt, recycled through a free list — after warmup
 //    the dispatch path allocates nothing;
-//  * fields live in parallel arrays, so the scans that touch only (spare,
-//    attempt_start) or only (machine) stream through contiguous memory;
+//  * fields live in parallel arrays, so the scans that touch only one field (the
+//    machine-failure scan reads machine, the straggler scan exec_start) stream
+//    through contiguous memory;
 //  * handles are slot index + generation: an event scheduled against an attempt
 //    that has since completed or been killed simply fails the generation check,
 //    which is how stale timer events are dropped;
-//  * a monotonic per-attempt sequence number gives newest/oldest selections a
-//    deterministic tie-break at equal start times (the legacy map left ties to
-//    hash-iteration order).
+//  * a monotonic per-attempt sequence number orders attempts by start: attempts
+//    are allocated at the current simulated time, which never runs backwards, so
+//    sorting by order() is sorting by attempt_start with a deterministic
+//    tie-break at equal start times (the legacy map left ties to hash-iteration
+//    order). The simulator keeps its per-job newest/oldest lists sorted by it.
 //
 // The caller owns the per-job list of active slots (JobState::active); the arena
 // maintains each slot's position in that list so removal is O(1) swap-remove.
@@ -40,6 +43,7 @@ class AttemptArena {
 
   static uint32_t SlotOf(Handle handle) { return static_cast<uint32_t>(handle); }
 
+  // `attempt_start` must not precede any earlier allocation's (see order()).
   Handle Allocate(std::vector<uint32_t>& active, int flat_task, int machine,
                   SimTime attempt_start, SimTime exec_start, SimTime exec_end, bool spare,
                   bool speculative) {
@@ -101,24 +105,13 @@ class AttemptArena {
   SimTime exec_end(uint32_t slot) const { return exec_end_[slot]; }
   bool spare(uint32_t slot) const { return (flags_[slot] & kSpare) != 0; }
   bool speculative(uint32_t slot) const { return (flags_[slot] & kSpeculative) != 0; }
-  // Monotonic across all attempts: the deterministic tie-break for newest/oldest.
+  // Monotonic across all attempts, and therefore in attempt_start order.
   uint64_t order(uint32_t slot) const { return order_[slot]; }
 
   void set_spare(uint32_t slot, bool spare) {
     flags_[slot] = static_cast<uint8_t>(spare ? (flags_[slot] | kSpare)
                                               : (flags_[slot] & ~kSpare));
   }
-
-  // Strict "started later" / "started earlier" with the sequence tie-break; the
-  // demotion, promotion, and eviction scans use these to pick the newest/oldest
-  // attempt deterministically.
-  bool StartedAfter(uint32_t a, uint32_t b) const {
-    if (attempt_start_[a] != attempt_start_[b]) {
-      return attempt_start_[a] > attempt_start_[b];
-    }
-    return order_[a] > order_[b];
-  }
-  bool StartedBefore(uint32_t a, uint32_t b) const { return StartedAfter(b, a); }
 
  private:
   static constexpr uint8_t kSpare = 1;

@@ -4,12 +4,35 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/fault/fault_injector.h"
 #include "src/obs/prof/profiler.h"
 #include "src/obs/timeseries/timeseries.h"
 
 namespace jockey {
+
+namespace {
+
+// The per-job attempt lists stay ascending in arena order, i.e. in start order.
+struct StartOrder {
+  const AttemptArena& arena;
+  bool operator()(uint32_t a, uint32_t b) const { return arena.order(a) < arena.order(b); }
+};
+
+void InsertInStartOrder(const AttemptArena& arena, std::vector<uint32_t>& list,
+                        uint32_t slot) {
+  list.insert(std::upper_bound(list.begin(), list.end(), slot, StartOrder{arena}), slot);
+}
+
+void EraseInStartOrder(const AttemptArena& arena, std::vector<uint32_t>& list,
+                       uint32_t slot) {
+  auto at = std::lower_bound(list.begin(), list.end(), slot, StartOrder{arena});
+  assert(at != list.end() && *at == slot);
+  list.erase(at);
+}
+
+}  // namespace
 
 std::string ValidateClusterConfig(const ClusterConfig& config) {
   if (config.num_machines <= 0) return "num_machines must be > 0";
@@ -66,24 +89,13 @@ ClusterSimulator::ClusterSimulator(const ClusterConfig& config)
     throw std::invalid_argument("ClusterConfig: " + problem);
   }
   machines_.resize(static_cast<size_t>(config_.num_machines));
+  up_machines_ = config_.num_machines;
   for (auto& m : machines_) {
     m.speed = rng_.LogNormal(0.0, config_.machine_speed_sigma);
   }
 }
 
 ClusterSimulator::~ClusterSimulator() = default;
-
-int ClusterSimulator::TotalUpSlots() const { return UpSlots(); }
-
-int ClusterSimulator::UpSlots() const {
-  int up = 0;
-  for (const auto& m : machines_) {
-    if (m.up) {
-      ++up;
-    }
-  }
-  return up * config_.slots_per_machine;
-}
 
 int ClusterSimulator::SubmitJob(const JobTemplate& job, const JobSubmission& opts) {
   int job_id = static_cast<int>(jobs_.size());
@@ -99,10 +111,14 @@ int ClusterSimulator::SubmitJob(const JobTemplate& job, const JobSubmission& opt
   state.ever_ready.assign(static_cast<size_t>(state.tracker->total_tasks()), false);
   state.stage_exec_stats.resize(static_cast<size_t>(job.graph.num_stages()));
   state.speculation_budget_used.assign(static_cast<size_t>(state.tracker->total_tasks()), 0);
+  state.running_copies.assign(static_cast<size_t>(state.tracker->total_tasks()), 0);
   for (int t = 0; t < state.tracker->total_tasks(); ++t) {
     auto& rec = state.records[static_cast<size_t>(t)];
     rec.id.stage = state.tracker->StageOf(t);
     rec.id.index = state.tracker->IndexOf(t);
+  }
+  for (JobSet* set : {&live_, &rebalance_, &hungry_[0], &hungry_[1], &spare_takers_}) {
+    set->Grow(job_id + 1);
   }
   state.result.trace.job_name = job.name();
   state.result.trace.submit_time = opts.submit_time;
@@ -215,6 +231,7 @@ void ClusterSimulator::StartJob(int job_id) {
   JobState& job = jobs_[static_cast<size_t>(job_id)];
   job.dag = std::make_unique<DependencyTracker::State>(*job.tracker);
   job.started = true;
+  live_.Assign(job_id, true);
   job.last_alloc_change = eq_.now();
   DrainReady(job);
   if (job.opts.controller != nullptr) {
@@ -235,6 +252,7 @@ void ClusterSimulator::DrainReady(JobState& job) {
     job.pending.push_back(t);
     obs_.Emit(eq_.now(), TaskReadyEvent{job.id, job.tracker->StageOf(t), t, false});
   }
+  Refile(job);
   // Compact the FIFO when the dead prefix dominates.
   if (job.pending_head > 1024 && job.pending_head * 2 > job.pending.size()) {
     job.pending.erase(job.pending.begin(),
@@ -335,7 +353,7 @@ void ClusterSimulator::ControlTick(int job_id) {
   status.elapsed_seconds = eq_.now() - job.opts.submit_time;
   status.frac_complete = job.dag->FracCompleteAll();
   status.guaranteed_tokens = job.guaranteed_tokens;
-  status.running_tasks = job.running_guaranteed + job.running_spare;
+  status.running_tasks = job.running_guaranteed() + job.running_spare();
   status.pending_tasks = static_cast<int>(job.pending.size() - job.pending_head);
   status.completed_tasks = job.dag->done_total();
   status.total_tasks = job.tracker->total_tasks();
@@ -368,8 +386,9 @@ void ClusterSimulator::ControlTick(int job_id) {
     ++tallies_.allocation_changes;
   }
   job.guaranteed_tokens = new_g;
+  Refile(job);
   job.result.timeline.push_back(AllocationSample{eq_.now(), new_g, decision.raw_allocation,
-                                                 status.running_tasks, job.running_spare});
+                                                 status.running_tasks, job.running_spare()});
   if (timeseries_ != nullptr) {
     // Policies without a completion model leave progress unset; fall back to the
     // task-count fraction so the timeline still shows movement. A negative
@@ -394,18 +413,30 @@ double ClusterSimulator::CurrentUtilization() const {
   // background demand (work waiting for slots still hammers the network and disks,
   // but less than running work). This is what makes an overloaded cluster slow every
   // running task, not just shrink the spare pool.
+  //
+  // The sum runs job by job in id order, interleaving each SuperHigh job's
+  // fractional pressure term with the integer counts; rounding makes that order
+  // part of the result. Unstarted and finished jobs run nothing, so their terms are
+  // exactly +0 and only live jobs are visited. With no SuperHigh attempt running
+  // every pressure term is +0 and the partial sums are exact integers, so one
+  // integer total gives the same double.
   double running = static_cast<double>(background_slots_);
-  for (const auto& job : jobs_) {
-    running += job.running_guaranteed + job.running_spare;
-    if (job.opts.priority == PriorityClass::kSuperHigh) {
-      // SuperHigh tasks win every local resource conflict, so each one degrades
-      // co-located work beyond its own slot (Section 3.1's contention downside).
-      running += (config_.superhigh_pressure_factor - 1.0) *
-                 (job.running_guaranteed + job.running_spare);
+  if (superhigh_running_ == 0) {
+    running += running_guaranteed_ + running_spare_;
+  } else {
+    for (int id = live_.Next(0); id >= 0; id = live_.Next(id + 1)) {
+      const JobState& job = jobs_[static_cast<size_t>(id)];
+      const int n = job.running_guaranteed() + job.running_spare();
+      running += n;
+      if (job.opts.priority == PriorityClass::kSuperHigh) {
+        // SuperHigh tasks win every local resource conflict, so each one degrades
+        // co-located work beyond its own slot (Section 3.1's contention downside).
+        running += (config_.superhigh_pressure_factor - 1.0) * n;
+      }
     }
   }
   double queued = std::max(0, background_demand_ - background_slots_);
-  int up = UpSlots();
+  int up = TotalUpSlots();
   if (up == 0) {
     return 1.5;
   }
@@ -458,13 +489,16 @@ void ClusterSimulator::StartTask(JobState& job, int job_id, int flat_task, bool 
   AttemptArena::Handle handle =
       arena_.Allocate(job.active, flat_task, machine, eq_.now(), eq_.now() + dispatch,
                       eq_.now() + dispatch + exec, spare, speculative);
-  if (spare) {
-    ++job.running_spare;
-  } else {
-    ++job.running_guaranteed;
+  // The newest attempt has the largest order: appending keeps start order.
+  (spare ? job.spare : job.guaranteed).push_back(AttemptArena::SlotOf(handle));
+  ++job.running_copies[static_cast<size_t>(flat_task)];
+  ++(spare ? running_spare_ : running_guaranteed_);
+  if (job.opts.priority == PriorityClass::kSuperHigh) {
+    ++superhigh_running_;
   }
+  Refile(job);
   job.result.max_parallelism =
-      std::max(job.result.max_parallelism, job.running_guaranteed + job.running_spare);
+      std::max(job.result.max_parallelism, job.running_guaranteed() + job.running_spare());
   obs_.Emit(eq_.now(), TaskDispatchEvent{job.id, stage, flat_task, machine, spare, speculative});
   ++tallies_.dispatches;
   if (spare) {
@@ -479,14 +513,31 @@ void ClusterSimulator::StartTask(JobState& job, int job_id, int flat_task, bool 
   eq_.ScheduleAfter(lifetime, ev);
 }
 
-bool ClusterSimulator::HasRunningCopy(const JobState& job, int flat_task,
-                                      uint32_t excluding_slot) const {
-  for (uint32_t slot : job.active) {
-    if (slot != excluding_slot && arena_.flat_task(slot) == flat_task) {
-      return true;
-    }
+void ClusterSimulator::ReleaseAttempt(JobState& job, AttemptArena::Handle handle) {
+  const uint32_t slot = AttemptArena::SlotOf(handle);
+  const bool spare = arena_.spare(slot);
+  EraseInStartOrder(arena_, spare ? job.spare : job.guaranteed, slot);
+  --job.running_copies[static_cast<size_t>(arena_.flat_task(slot))];
+  --(spare ? running_spare_ : running_guaranteed_);
+  if (job.opts.priority == PriorityClass::kSuperHigh) {
+    --superhigh_running_;
   }
-  return false;
+  arena_.Release(handle, job.active);
+  Refile(job);
+}
+
+void ClusterSimulator::Reclassify(JobState& job, uint32_t slot, bool spare) {
+  EraseInStartOrder(arena_, spare ? job.guaranteed : job.spare, slot);
+  InsertInStartOrder(arena_, spare ? job.spare : job.guaranteed, slot);
+  arena_.set_spare(slot, spare);
+  running_guaranteed_ += spare ? -1 : 1;
+  running_spare_ += spare ? 1 : -1;
+}
+
+void ClusterSimulator::Refile(JobState& job) {
+  rebalance_.Assign(job.id, job.NeedsRebalance());
+  hungry_[static_cast<int>(job.opts.priority)].Assign(job.id, job.WantsGuaranteedStart());
+  spare_takers_.Assign(job.id, job.opts.use_spare_tokens && job.HasQueuedTask());
 }
 
 void ClusterSimulator::KillAttempt(JobState& job, AttemptArena::Handle handle,
@@ -494,23 +545,19 @@ void ClusterSimulator::KillAttempt(JobState& job, AttemptArena::Handle handle,
   assert(arena_.Alive(handle));
   const uint32_t slot = AttemptArena::SlotOf(handle);
   const int flat_task = arena_.flat_task(slot);
-  if (arena_.spare(slot)) {
-    --job.running_spare;
-  } else {
-    --job.running_guaranteed;
-  }
   auto& rec = job.records[static_cast<size_t>(flat_task)];
   ++rec.failed_attempts;
   rec.wasted_seconds += eq_.now() - arena_.attempt_start(slot);
   if (reason == KillReason::kSpareEviction) {
     ++job.result.evictions;
   }
-  arena_.Release(handle, job.active);
+  ReleaseAttempt(job, handle);
   // Requeue unless another copy of the task still runs (a killed duplicate must not
   // resurrect a task its primary is already executing, and vice versa).
-  bool requeued = !HasRunningCopy(job, flat_task, kNoSlot);
+  bool requeued = job.running_copies[static_cast<size_t>(flat_task)] == 0;
   if (requeued) {
     job.pending.push_back(flat_task);
+    Refile(job);
   }
   obs_.Emit(eq_.now(), TaskKilledEvent{job.id, job.tracker->StageOf(flat_task), flat_task,
                                        reason, requeued});
@@ -542,33 +589,26 @@ void ClusterSimulator::OnTaskComplete(int job_id, AttemptArena::Handle handle) {
   const bool spare = arena_.spare(slot);
   const bool speculative = arena_.speculative(slot);
   if (spare) {
-    --job.running_spare;
     ++job.spare_completions;
-  } else {
-    --job.running_guaranteed;
   }
-  arena_.Release(handle, job.active);
+  ReleaseAttempt(job, handle);
   if (speculative) {
     ++job.result.speculative_wins;
   }
 
   // Cancel any other copy of the task; its time is wasted work.
-  kill_scratch_.clear();
-  for (uint32_t other : job.active) {
-    if (arena_.flat_task(other) == flat_task) {
-      kill_scratch_.push_back(arena_.handle_of(other));
+  if (job.running_copies[static_cast<size_t>(flat_task)] > 0) {
+    kill_scratch_.clear();
+    for (uint32_t other : job.active) {
+      if (arena_.flat_task(other) == flat_task) {
+        kill_scratch_.push_back(arena_.handle_of(other));
+      }
     }
-  }
-  for (AttemptArena::Handle other : kill_scratch_) {
-    const uint32_t other_slot = AttemptArena::SlotOf(other);
-    if (arena_.spare(other_slot)) {
-      --job.running_spare;
-    } else {
-      --job.running_guaranteed;
+    for (AttemptArena::Handle other : kill_scratch_) {
+      job.records[static_cast<size_t>(flat_task)].wasted_seconds +=
+          eq_.now() - arena_.attempt_start(AttemptArena::SlotOf(other));
+      ReleaseAttempt(job, other);
     }
-    job.records[static_cast<size_t>(flat_task)].wasted_seconds +=
-        eq_.now() - arena_.attempt_start(other_slot);
-    arena_.Release(other, job.active);
   }
 
   auto& rec = job.records[static_cast<size_t>(flat_task)];
@@ -598,6 +638,7 @@ void ClusterSimulator::FinishJob(int job_id) {
   JobState& job = jobs_[static_cast<size_t>(job_id)];
   assert(!job.finished);
   job.finished = true;
+  live_.Assign(job_id, false);
   --unfinished_jobs_;
   AccumulateGuaranteedSeconds(job);
   job.result.finished = true;
@@ -622,7 +663,7 @@ void ClusterSimulator::FinishJob(int job_id) {
 }
 
 void ClusterSimulator::Reschedule() {
-  int up = UpSlots();
+  int up = TotalUpSlots();
   // Background demand is sized against nominal capacity (background work does not
   // vanish when machines fail), granted against what is left after guarantees.
   double utilization = background_.UtilizationAt(eq_.now());
@@ -640,104 +681,61 @@ void ClusterSimulator::Reschedule() {
   background_demand_ = demanded;
 
   // Phase 1: guaranteed tokens. Promote already-running spare tasks first (they keep
-  // their progress), then start pending tasks.
-  int guaranteed_total = 0;
-  for (auto& job : jobs_) {
-    if (!job.started || job.finished) {
-      continue;
-    }
+  // their progress), then start pending tasks. Only the jobs in rebalance_ have a
+  // demotion or promotion due; a job's moves touch only its own attempts.
+  for (int id = rebalance_.Next(0); id >= 0; id = rebalance_.Next(id + 1)) {
+    JobState& job = jobs_[static_cast<size_t>(id)];
     // Demote newest guaranteed tasks to spare if the guarantee shrank below usage.
-    while (job.running_guaranteed > job.guaranteed_tokens) {
-      uint32_t newest = kNoSlot;
-      for (uint32_t slot : job.active) {
-        if (!arena_.spare(slot) && (newest == kNoSlot || arena_.StartedAfter(slot, newest))) {
-          newest = slot;
-        }
-      }
-      if (newest == kNoSlot) {
-        break;
-      }
-      arena_.set_spare(newest, true);
-      --job.running_guaranteed;
-      ++job.running_spare;
+    while (job.running_guaranteed() > job.guaranteed_tokens) {
+      Reclassify(job, job.guaranteed.back(), /*spare=*/true);
     }
     // Promote spare tasks up to the guarantee (oldest first: most progress saved).
-    while (job.running_guaranteed < job.guaranteed_tokens && job.running_spare > 0) {
-      uint32_t oldest = kNoSlot;
-      for (uint32_t slot : job.active) {
-        if (arena_.spare(slot) && (oldest == kNoSlot || arena_.StartedBefore(slot, oldest))) {
-          oldest = slot;
-        }
-      }
-      if (oldest == kNoSlot) {
-        break;
-      }
-      arena_.set_spare(oldest, false);
-      ++job.running_guaranteed;
-      --job.running_spare;
+    while (job.running_guaranteed() < job.guaranteed_tokens && !job.spare.empty()) {
+      Reclassify(job, job.spare.front(), /*spare=*/false);
     }
-    guaranteed_total += job.running_guaranteed;
+    Refile(job);
   }
   // Start new guaranteed tasks while physical slots remain; SuperHigh guarantees are
   // served strictly before normal ones (Section 3.1's priority ordering).
   for (PriorityClass pass : {PriorityClass::kSuperHigh, PriorityClass::kNormal}) {
-    for (size_t id = 0; id < jobs_.size(); ++id) {
-      JobState& job = jobs_[id];
-      if (!job.started || job.finished || job.opts.priority != pass) {
-        continue;
-      }
-      while (job.running_guaranteed < job.guaranteed_tokens &&
-             job.pending_head < job.pending.size() && guaranteed_total < up) {
+    const JobSet& hungry = hungry_[static_cast<int>(pass)];
+    for (int id = hungry.Next(0); id >= 0 && running_guaranteed_ < up; id = hungry.Next(id + 1)) {
+      JobState& job = jobs_[static_cast<size_t>(id)];
+      while (job.WantsGuaranteedStart() && running_guaranteed_ < up) {
         int task = job.pending[job.pending_head++];
-        StartTask(job, static_cast<int>(id), task, /*spare=*/false, /*speculative=*/false);
-        ++guaranteed_total;
+        StartTask(job, id, task, /*spare=*/false, /*speculative=*/false);
       }
     }
   }
 
   // Phase 2: background demand squeezes what is left.
-  background_slots_ = std::clamp(demanded, 0, std::max(0, up - guaranteed_total));
-  int spare_budget = up - guaranteed_total - background_slots_;
+  background_slots_ = std::clamp(demanded, 0, std::max(0, up - running_guaranteed_));
+  int spare_budget = up - running_guaranteed_ - background_slots_;
 
   // Phase 3: evict spare tasks (newest first) if the budget no longer covers them.
-  int spare_total = 0;
-  for (const auto& job : jobs_) {
-    spare_total += job.running_spare;
-  }
-  while (spare_total > std::max(0, spare_budget)) {
-    JobState* victim_job = nullptr;
-    uint32_t victim_slot = kNoSlot;
-    for (auto& job : jobs_) {
-      for (uint32_t slot : job.active) {
-        if (arena_.spare(slot) &&
-            (victim_slot == kNoSlot || arena_.StartedAfter(slot, victim_slot))) {
-          victim_slot = slot;
-          victim_job = &job;
-        }
+  while (running_spare_ > std::max(0, spare_budget)) {
+    JobState* victim = nullptr;
+    for (int id = live_.Next(0); id >= 0; id = live_.Next(id + 1)) {
+      JobState& job = jobs_[static_cast<size_t>(id)];
+      if (!job.spare.empty() && (victim == nullptr || arena_.order(job.spare.back()) >
+                                                          arena_.order(victim->spare.back()))) {
+        victim = &job;
       }
     }
-    if (victim_job == nullptr) {
-      break;
-    }
-    KillAttempt(*victim_job, arena_.handle_of(victim_slot), KillReason::kSpareEviction);
-    --spare_total;
+    assert(victim != nullptr);  // running_spare_ > 0: some live job runs spare work
+    KillAttempt(*victim, arena_.handle_of(victim->spare.back()), KillReason::kSpareEviction);
   }
 
   // Phase 4: hand spare tokens to jobs with pending work, round-robin.
   bool assigned = true;
-  while (spare_total < spare_budget && assigned) {
+  while (running_spare_ < spare_budget && assigned) {
     assigned = false;
-    for (size_t id = 0; id < jobs_.size() && spare_total < spare_budget; ++id) {
-      JobState& job = jobs_[id];
-      if (!job.started || job.finished || !job.opts.use_spare_tokens) {
-        continue;
-      }
-      if (job.pending_head < job.pending.size()) {
-        int task = job.pending[job.pending_head++];
-        StartTask(job, static_cast<int>(id), task, /*spare=*/true, /*speculative=*/false);
-        ++spare_total;
-        assigned = true;
-      }
+    for (int id = spare_takers_.Next(0); id >= 0 && running_spare_ < spare_budget;
+         id = spare_takers_.Next(id + 1)) {
+      JobState& job = jobs_[static_cast<size_t>(id)];
+      int task = job.pending[job.pending_head++];
+      StartTask(job, id, task, /*spare=*/true, /*speculative=*/false);
+      assigned = true;
     }
   }
 
@@ -754,22 +752,13 @@ void ClusterSimulator::SpeculationTick() {
   if (unfinished_jobs_ == 0) {
     return;
   }
-  int up = UpSlots();
-  for (size_t id = 0; id < jobs_.size(); ++id) {
-    JobState& job = jobs_[id];
-    if (!job.started || job.finished) {
-      continue;
-    }
+  const int up = TotalUpSlots();
+  for (int id = live_.Next(0); id >= 0; id = live_.Next(id + 1)) {
+    JobState& job = jobs_[static_cast<size_t>(id)];
     // Duplicates only launch into genuinely free spare headroom; launching into a
     // saturated cluster just gets the copy evicted and churns.
-    int running_total = 0;
-    int guaranteed_total = 0;
-    for (const auto& j : jobs_) {
-      running_total += j.running_guaranteed + j.running_spare;
-      guaranteed_total += j.running_guaranteed;
-    }
-    int spare_headroom = up - guaranteed_total - background_slots_ -
-                         (running_total - guaranteed_total);
+    int running_total = running_guaranteed_ + running_spare_;
+    int spare_headroom = up - running_guaranteed_ - background_slots_ - running_spare_;
     // Collect straggler candidates first; launching mutates job.active.
     straggler_scratch_.clear();
     for (uint32_t slot : job.active) {
@@ -786,7 +775,7 @@ void ClusterSimulator::SpeculationTick() {
       if (elapsed < config_.speculation_slowdown * baseline.mean()) {
         continue;
       }
-      if (HasRunningCopy(job, flat_task, slot)) {
+      if (job.running_copies[static_cast<size_t>(flat_task)] > 1) {
         continue;  // already has a duplicate
       }
       if (job.speculation_budget_used[static_cast<size_t>(flat_task)] >=
@@ -802,7 +791,7 @@ void ClusterSimulator::SpeculationTick() {
       ++job.speculation_budget_used[static_cast<size_t>(task)];
       obs_.Emit(eq_.now(), SpeculativeLaunchEvent{job.id, job.tracker->StageOf(task), task});
       ++tallies_.speculative_launched;
-      StartTask(job, static_cast<int>(id), task, /*spare=*/true, /*speculative=*/true);
+      StartTask(job, id, task, /*spare=*/true, /*speculative=*/true);
       ++job.result.speculative_launched;
       ++running_total;
       --spare_headroom;
@@ -819,11 +808,10 @@ bool ClusterSimulator::FailMachine(int machine, int* killed) {
     return false;
   }
   m.up = false;
+  --up_machines_;
   int total_killed = 0;
-  for (auto& job : jobs_) {
-    if (!job.started || job.finished) {
-      continue;
-    }
+  for (int id = live_.Next(0); id >= 0; id = live_.Next(id + 1)) {
+    JobState& job = jobs_[static_cast<size_t>(id)];
     kill_scratch_.clear();
     for (uint32_t slot : job.active) {
       if (arena_.machine(slot) == machine) {
@@ -850,6 +838,7 @@ void ClusterSimulator::RecoverMachine(int machine) {
     return;
   }
   m.up = true;
+  ++up_machines_;
   obs_.Emit(eq_.now(), MachineRecoverEvent{machine});
 }
 
@@ -952,29 +941,40 @@ void ClusterSimulator::set_observer(Observer observer) {
 }
 
 void ClusterSimulator::FlushTallies() {
+  using Tally = std::pair<const char*, int64_t ObsTallies::*>;
+  static constexpr Tally kClusterTallies[] = {
+      {"cluster.jobs_submitted", &ObsTallies::jobs_submitted},
+      {"cluster.jobs_finished", &ObsTallies::jobs_finished},
+      {"cluster.allocation_changes", &ObsTallies::allocation_changes},
+      {"cluster.dispatches", &ObsTallies::dispatches},
+      {"cluster.spare_dispatches", &ObsTallies::spare_dispatches},
+      {"cluster.completions", &ObsTallies::completions},
+      {"cluster.evictions", &ObsTallies::evictions},
+      {"cluster.task_failures", &ObsTallies::task_failures},
+      {"cluster.machine_failure_kills", &ObsTallies::machine_failure_kills},
+      {"cluster.reexecutions", &ObsTallies::reexecutions},
+      {"cluster.speculative_launched", &ObsTallies::speculative_launched},
+      {"cluster.speculative_wins", &ObsTallies::speculative_wins},
+      {"cluster.machine_failures", &ObsTallies::machine_failures},
+  };
+  static constexpr Tally kFaultTallies[] = {
+      {"fault.report_faults", &ObsTallies::fault_report_faults},
+      {"fault.blackouts", &ObsTallies::fault_blackouts},
+      {"fault.grant_shortfalls", &ObsTallies::fault_grant_shortfalls},
+      {"fault.machine_bursts", &ObsTallies::fault_machine_bursts},
+      {"fault.machine_slowdowns", &ObsTallies::fault_machine_slowdowns},
+      {"fault.adversarial_spikes", &ObsTallies::fault_adversarial_spikes},
+  };
   if (obs_.metering()) {
-    obs_.Count("cluster.jobs_submitted", tallies_.jobs_submitted);
-    obs_.Count("cluster.jobs_finished", tallies_.jobs_finished);
-    obs_.Count("cluster.allocation_changes", tallies_.allocation_changes);
-    obs_.Count("cluster.dispatches", tallies_.dispatches);
-    obs_.Count("cluster.spare_dispatches", tallies_.spare_dispatches);
-    obs_.Count("cluster.completions", tallies_.completions);
-    obs_.Count("cluster.evictions", tallies_.evictions);
-    obs_.Count("cluster.task_failures", tallies_.task_failures);
-    obs_.Count("cluster.machine_failure_kills", tallies_.machine_failure_kills);
-    obs_.Count("cluster.reexecutions", tallies_.reexecutions);
-    obs_.Count("cluster.speculative_launched", tallies_.speculative_launched);
-    obs_.Count("cluster.speculative_wins", tallies_.speculative_wins);
-    obs_.Count("cluster.machine_failures", tallies_.machine_failures);
+    for (const auto& [name, field] : kClusterTallies) {
+      obs_.Count(name, tallies_.*field);
+    }
     if (fault_injector_ != nullptr) {
       // Only materialized when an injector is attached: a fault-free run's metrics
       // export stays byte-identical to pre-fault-subsystem builds.
-      obs_.Count("fault.report_faults", tallies_.fault_report_faults);
-      obs_.Count("fault.blackouts", tallies_.fault_blackouts);
-      obs_.Count("fault.grant_shortfalls", tallies_.fault_grant_shortfalls);
-      obs_.Count("fault.machine_bursts", tallies_.fault_machine_bursts);
-      obs_.Count("fault.machine_slowdowns", tallies_.fault_machine_slowdowns);
-      obs_.Count("fault.adversarial_spikes", tallies_.fault_adversarial_spikes);
+      for (const auto& [name, field] : kFaultTallies) {
+        obs_.Count(name, tallies_.*field);
+      }
     }
   }
   tallies_ = ObsTallies{};

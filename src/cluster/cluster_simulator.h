@@ -22,10 +22,18 @@
 // in a struct-of-arrays arena (attempt_arena.h) keyed by generation-checked handles;
 // stale timer events (the attempt completed or was killed first) fail the
 // generation check and drop. Equal-time events fire in insertion order.
+//
+// Scheduling state is kept incrementally (DESIGN.md, "Cluster simulator"): live and
+// pending-work job indices, per-job attempt lists in start order, and cluster-wide
+// running totals are updated as attempts start and end, so a reschedule costs what
+// its decisions cost rather than a scan of every job ever submitted and every
+// machine.
 
 #ifndef SRC_CLUSTER_CLUSTER_SIMULATOR_H_
 #define SRC_CLUSTER_CLUSTER_SIMULATOR_H_
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -143,7 +151,7 @@ class ClusterSimulator {
   void set_timeseries_recorder(TimeSeriesRecorder* recorder) { timeseries_ = recorder; }
 
   SimTime now() const { return eq_.now(); }
-  int TotalUpSlots() const;
+  int TotalUpSlots() const { return up_machines_ * config_.slots_per_machine; }
 
  private:
   // One queued occurrence: a 24-byte POD record the event loop switches on.
@@ -197,14 +205,20 @@ class ClusterSimulator {
     size_t pending_head = 0;
     // Arena slots of this job's running attempts; a task may have two attempts
     // running at once when speculation launched a duplicate. Unordered — removal
-    // is swap-remove; every selection over it uses explicit deterministic keys.
+    // is swap-remove; the machine-failure and straggler scans walk it in this order.
     std::vector<uint32_t> active;
+    // The same attempts split by token class, each oldest first. The arena's
+    // order() grows with attempt_start (the clock never runs backwards), so these
+    // are sorted by the (start time, sequence) key: demotion takes
+    // guaranteed.back(), promotion spare.front(), eviction the newest spare.back().
+    std::vector<uint32_t> guaranteed;
+    std::vector<uint32_t> spare;
+    // Running attempts per flat task: 0, 1, or 2 while a duplicate runs.
+    std::vector<uint8_t> running_copies;
     // Mean observed execution time per stage (speculation baseline).
     std::vector<RunningStats> stage_exec_stats;
     // Speculative launches already spent per task (caps duplicate churn).
     std::vector<uint8_t> speculation_budget_used;
-    int running_guaranteed = 0;
-    int running_spare = 0;
     int guaranteed_tokens = 0;
     // Per-task records, indexed by flat task id.
     std::vector<TaskRecord> records;
@@ -218,6 +232,20 @@ class ClusterSimulator {
     bool started = false;
     bool finished = false;
     ClusterRunResult result;
+
+    int running_guaranteed() const { return static_cast<int>(guaranteed.size()); }
+    int running_spare() const { return static_cast<int>(spare.size()); }
+    bool HasQueuedTask() const { return pending_head < pending.size(); }
+    // Reschedule's guaranteed-start pass would start a task for this job.
+    bool WantsGuaranteedStart() const {
+      return HasQueuedTask() && running_guaranteed() < guaranteed_tokens;
+    }
+    // The guaranteed/spare split disagrees with the guarantee: Reschedule must
+    // demote or promote.
+    bool NeedsRebalance() const {
+      return running_guaranteed() > guaranteed_tokens ||
+             (running_guaranteed() < guaranteed_tokens && !spare.empty());
+    }
   };
 
   struct Machine {
@@ -225,7 +253,41 @@ class ClusterSimulator {
     bool up = true;
   };
 
-  static constexpr uint32_t kNoSlot = 0xffffffffu;
+  // A set of job ids as a bitmap: O(1) updates and iteration in ascending id. A
+  // full scan reads one word per 64 submitted jobs.
+  class JobSet {
+   public:
+    // Makes room for ids below `jobs`.
+    void Grow(int jobs) {
+      while (words_.size() * 64 < static_cast<size_t>(jobs)) {
+        words_.push_back(0);
+      }
+    }
+    void Assign(int id, bool member) {
+      const uint64_t bit = uint64_t{1} << (id & 63);
+      uint64_t& word = words_[static_cast<size_t>(id) >> 6];
+      word = member ? (word | bit) : (word & ~bit);
+    }
+    // The smallest member >= `from`, or -1. Iterating with Next(id + 1) stays
+    // valid while the loop body adds or removes `id` itself.
+    int Next(int from) const {
+      size_t w = static_cast<size_t>(from) >> 6;
+      if (w >= words_.size()) {
+        return -1;
+      }
+      uint64_t bits = words_[w] & (~uint64_t{0} << (from & 63));
+      while (bits == 0) {
+        if (++w == words_.size()) {
+          return -1;
+        }
+        bits = words_[w];
+      }
+      return static_cast<int>(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    }
+
+   private:
+    std::vector<uint64_t> words_;
+  };
 
   void Dispatch(const SimEvent& ev);
   void StartJob(int job_id);
@@ -237,9 +299,13 @@ class ClusterSimulator {
   // requeues the task unless another copy of it is still running. Invalidates the
   // handle.
   void KillAttempt(JobState& job, AttemptArena::Handle handle, KillReason reason);
-  // True if some running attempt of `job` other than `excluding_slot` executes
-  // `flat_task` (pass kNoSlot to consider them all).
-  bool HasRunningCopy(const JobState& job, int flat_task, uint32_t excluding_slot) const;
+  // Removes a running attempt from the incremental state and frees its slot.
+  void ReleaseAttempt(JobState& job, AttemptArena::Handle handle);
+  // Moves a running attempt between the guaranteed and spare classes.
+  void Reclassify(JobState& job, uint32_t slot, bool spare);
+  // Updates the job's membership in rebalance_, hungry_ and spare_takers_; call
+  // after its queue, running attempts or guarantee change.
+  void Refile(JobState& job);
   void SpeculationTick();
   void FinishJob(int job_id);
   void AccumulateGuaranteedSeconds(JobState& job);
@@ -260,7 +326,6 @@ class ClusterSimulator {
   void ScheduleFaultWindows();
   void ClusterTick();
   void DrainReady(JobState& job);
-  int UpSlots() const;
   double CurrentUtilization() const;
   // Pushes the accumulated tallies_ into the metrics registry and resets them.
   void FlushTallies();
@@ -311,6 +376,25 @@ class ClusterSimulator {
   int unfinished_jobs_ = 0;
   int background_slots_ = 0;   // background demand currently granted
   int background_demand_ = 0;  // background demand requested (may exceed capacity)
+
+  // Incremental scheduling state. Invariants between events (and, for a job,
+  // from its next Refile on):
+  //  * up_machines_ counts machines_ with up == true;
+  //  * live_ holds exactly the started, unfinished jobs;
+  //  * rebalance_ holds exactly the jobs whose NeedsRebalance() is true;
+  //  * hungry_[c] holds exactly the priority-class-c jobs whose
+  //    WantsGuaranteedStart() is true;
+  //  * spare_takers_ holds exactly the jobs with a queued task that may use
+  //    spare tokens;
+  //  * the running totals equal the sums of the per-job lists over all jobs.
+  int up_machines_ = 0;
+  JobSet live_;
+  JobSet rebalance_;
+  JobSet hungry_[2];  // indexed by PriorityClass
+  JobSet spare_takers_;
+  int running_guaranteed_ = 0;
+  int running_spare_ = 0;
+  int superhigh_running_ = 0;  // running attempts of SuperHigh jobs, both classes
 };
 
 }  // namespace jockey

@@ -58,9 +58,12 @@ class Rng {
     return Uniform() < p;
   }
 
-  // Normal with the given mean and standard deviation.
+  // Normal with the given mean and standard deviation (>= 0; 0 returns the mean).
+  // Scales a standard draw with the same arithmetic libstdc++'s
+  // normal_distribution(mean, stddev) applies, so the stream is unchanged, without
+  // that constructor's stddev > 0 precondition.
   double Normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>()(engine_) * stddev + mean;
   }
 
   // Log-normal parameterized by the underlying normal's mu and sigma.

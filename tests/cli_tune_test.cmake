@@ -1,7 +1,10 @@
 # Smoke-tests the jockey_cli tune subcommand: a tiny sweep (two knob points, one
 # seed, two fault classes) must rank candidates with the defaults row feasible,
 # print the selected knob block, write the BENCH_tune.json artifact, and produce
-# identical output on a rerun (same seed + same ladder -> same ranking).
+# identical output on a rerun (same seed + same ladder -> same ranking). Every run
+# passes --no-cache: stdout reports whether the C(p,a) table was simulated or read
+# from the cache, so the two compared runs must not depend on cache state left by
+# earlier tests.
 set(TRACE ${CMAKE_CURRENT_BINARY_DIR}/cli_tune.trace)
 set(BENCH ${CMAKE_CURRENT_BINARY_DIR}/cli_tune_bench.json)
 execute_process(COMMAND ${CLI} train ${SCRIPT} --trace ${TRACE} --tokens 25 RESULT_VARIABLE rc)
@@ -10,7 +13,7 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --seeds 1
                         --knob-points 2 --classes report_dropout,grant_shortfall
-                        --bench-out ${BENCH}
+                        --bench-out ${BENCH} --no-cache
                 RESULT_VARIABLE rc OUTPUT_VARIABLE first_out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tune sweep failed: ${rc}\n${first_out}")
@@ -33,7 +36,7 @@ if(NOT bench_json MATCHES "\"bench\":\"tune\"" OR NOT bench_json MATCHES "\"sele
 endif()
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --seeds 1
                         --knob-points 2 --classes report_dropout,grant_shortfall
-                        --bench-out ${BENCH}
+                        --bench-out ${BENCH} --no-cache
                 RESULT_VARIABLE rc OUTPUT_VARIABLE second_out)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "tune rerun failed: ${rc}")
@@ -43,6 +46,7 @@ if(NOT first_out STREQUAL second_out)
 endif()
 # An unknown class must be rejected, not silently skipped.
 execute_process(COMMAND ${CLI} tune ${SCRIPT} ${TRACE} --deadline 5 --classes disk_melt
+                        --no-cache
                 RESULT_VARIABLE rc ERROR_VARIABLE err_out)
 if(rc EQUAL 0)
   message(FATAL_ERROR "tune accepted an unknown fault class")

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 #include "src/util/stats.h"
@@ -98,6 +99,26 @@ TEST(RngTest, LogNormalMedianApproximatesExpMu) {
     xs.push_back(rng.LogNormal(std::log(8.0), 0.6));
   }
   EXPECT_NEAR(Quantile(xs, 0.5), 8.0, 0.4);
+}
+
+TEST(RngTest, NormalMatchesLibraryDistributionDrawForDraw) {
+  Rng ours(77);
+  std::mt19937_64 reference = Rng(77).engine();
+  const double params[][2] = {{0.0, 1.0}, {3.5, 0.25}, {-2.0, 7.0}, {1e6, 1e-3}};
+  for (int i = 0; i < 4000; ++i) {
+    const double mean = params[i % 4][0];
+    const double stddev = params[i % 4][1];
+    const double want = std::normal_distribution<double>(mean, stddev)(reference);
+    ASSERT_EQ(ours.Normal(mean, stddev), want) << "draw " << i;
+  }
+  EXPECT_TRUE(ours.engine() == reference);
+}
+
+TEST(RngTest, NormalWithZeroStddevReturnsTheMean) {
+  Rng rng(5);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.Normal(0.25, 0.0), 0.25);
+  }
 }
 
 TEST(RngTest, ExponentialMean) {
