@@ -104,6 +104,16 @@ struct MultiJobArbiter::ManagedJob {
   int last_granted = 0;
   // Memoized prediction columns and satisfaction points (enable_decision_cache).
   DecisionCache cache;
+
+  // The job's expected weighted utility at every integer allocation of the scan
+  // range [min_tokens_per_job, total_tokens], and its satisfaction point a_star.
+  // Both depend only on this job's status, utility and importance, so they are
+  // refreshed when the job ticks or its utility changes, not on other jobs' ticks.
+  std::vector<double> row;
+  int a_star = 0;
+  bool row_stale = true;
+  // Raw table predictions over the scan range when the decision cache is off.
+  std::vector<double> predictions;
 };
 
 // The JobController the cluster ticks; it records the job's status, triggers a global
@@ -118,6 +128,7 @@ class MultiJobArbiter::Adapter : public JobController {
     job.finished = status.total_tasks > 0 && status.completed_tasks == status.total_tasks;
     job.status = status;
     job.progress = job.model->indicator().Evaluate(status.frac_complete);
+    job.row_stale = true;
     arbiter_->Rebalance();
     // Other jobs' grants only change at their own ticks; never hand out more than the
     // budget minus what the rest currently holds (floored at the per-job minimum, so
@@ -186,6 +197,7 @@ void MultiJobArbiter::SetUtility(int index, PiecewiseLinear utility) {
   ManagedJob& job = *jobs_[static_cast<size_t>(index)];
   job.shifted_utility = utility.ShiftLeft(config_.control.dead_zone_seconds);
   job.utility = std::move(utility);
+  job.row_stale = true;
   // The fingerprint folds the utility knots: the changed utility re-keys the cache
   // and drops this job's memoized columns and satisfaction points.
   RekeyJobCache(job);
@@ -233,172 +245,161 @@ DecisionCacheStats MultiJobArbiter::cache_stats() const {
   return total;
 }
 
-double MultiJobArbiter::ExpectedUtility(const ManagedJob& job, double allocation) const {
-  double predicted = config_.control.slack *
-                     job.model->table().Predict(job.progress, allocation,
-                                                config_.control.prediction_quantile);
-  return job.importance * job.shifted_utility(job.status.elapsed_seconds + predicted);
-}
-
-void MultiJobArbiter::Rebalance() {
-  // Active = started and unfinished. Inactive jobs hold zero tokens.
-  std::vector<size_t> active;
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    if (jobs_[i]->started && !jobs_[i]->finished) {
-      active.push_back(i);
-    } else {
-      last_assignment_[i] = 0;
-    }
-  }
-  if (active.empty()) {
-    return;
-  }
-
-  // Greedy water-filling on raw allocations. The budget cannot go negative with
-  // AddJob's over-admission guard; the clamp is defense in depth.
-  std::vector<int> raw(active.size(), config_.min_tokens_per_job);
-  int budget = std::max(0, config_.total_tokens - config_.min_tokens_per_job *
-                                                      static_cast<int>(active.size()));
+void MultiJobArbiter::RefreshRow(ManagedJob& job) const {
+  const int first = config_.min_tokens_per_job;
+  const int last = config_.total_tokens;
+  const size_t width = static_cast<size_t>(last - first + 1);
+  const double quantile = config_.control.prediction_quantile;
+  const CompletionTable& table = job.model->table();
   // Memoized prediction columns (enable_decision_cache): the scan range's raw table
   // predictions per progress bucket, reused across ticks while the bucket repeats.
   const bool use_cache = config_.control.enable_decision_cache;
-  const int scan_width = config_.total_tokens - config_.min_tokens_per_job + 1;
-  std::vector<const std::vector<double>*> columns(active.size(), nullptr);
-  std::vector<int> buckets(active.size(), 0);
+  const double* predictions = nullptr;
+  int bucket = 0;
   if (use_cache) {
-    for (size_t k = 0; k < active.size(); ++k) {
-      ManagedJob& job = *jobs_[active[k]];
-      buckets[k] = job.model->table().BucketIndex(job.progress);
-      columns[k] = job.cache.FindColumn(buckets[k]);
-      if (columns[k] != nullptr) {
-        ++job.cache.stats().column_hits;
-      } else {
-        std::vector<double> fresh(static_cast<size_t>(scan_width));
-        for (int a = config_.min_tokens_per_job; a <= config_.total_tokens; ++a) {
-          fresh[static_cast<size_t>(a - config_.min_tokens_per_job)] =
-              job.model->table().Predict(job.progress, a,
-                                         config_.control.prediction_quantile);
-        }
-        ++job.cache.stats().column_misses;
-        columns[k] = &job.cache.StoreColumn(buckets[k], std::move(fresh));
-      }
+    bucket = table.BucketIndex(job.progress);
+    const std::vector<double>* column = job.cache.FindColumn(bucket);
+    if (column != nullptr) {
+      ++job.cache.stats().column_hits;
+    } else {
+      std::vector<double> fresh(width);
+      table.PredictRange(job.progress, first, last, quantile, fresh.data());
+      ++job.cache.stats().column_misses;
+      column = &job.cache.StoreColumn(bucket, std::move(fresh));
     }
+    predictions = column->data();
+  } else {
+    job.predictions.resize(width);
+    table.PredictRange(job.progress, first, last, quantile, job.predictions.data());
+    predictions = job.predictions.data();
   }
-  // ExpectedUtility at an integer allocation in the scan range, through the cached
-  // column when present — the same arithmetic in the same order, so results are
-  // bit-identical to direct lookups.
-  auto utility_at = [&](size_t k, int a) {
-    const ManagedJob& job = *jobs_[active[k]];
-    if (columns[k] == nullptr) {
-      return ExpectedUtility(job, a);
-    }
-    const double predicted =
-        config_.control.slack *
-        (*columns[k])[static_cast<size_t>(a - config_.min_tokens_per_job)];
-    return job.importance * job.shifted_utility(job.status.elapsed_seconds + predicted);
-  };
-  std::vector<double> utility_now(active.size());
-  for (size_t k = 0; k < active.size(); ++k) {
-    utility_now[k] = utility_at(k, raw[k]);
+  job.row.resize(width);
+  for (size_t i = 0; i < width; ++i) {
+    const double predicted = config_.control.slack * predictions[i];
+    job.row[i] = job.importance * job.shifted_utility(job.status.elapsed_seconds + predicted);
   }
-  // Per-job "satisfaction point": the minimum allocation achieving the job's maximum
+
+  // The "satisfaction point": the minimum allocation achieving the job's maximum
   // attainable utility within the whole budget. Deadline utilities are flat-then-
   // cliff (non-concave), so token-by-token water-filling would equalize lateness
   // across jobs instead of pushing individual jobs over their deadline cliff; the
   // jump to a_star is the move that meets a deadline outright. The scan's winner is
   // memoized per progress bucket and served while provably still the answer
   // (decision_cache.h).
-  std::vector<int> a_star(active.size());
-  for (size_t k = 0; k < active.size(); ++k) {
-    ManagedJob& job = *jobs_[active[k]];
-    if (use_cache) {
-      if (const DecisionCache::Decision* hit = job.cache.FindDecision(
-              buckets[k], job.status.elapsed_seconds, config_.control.slack)) {
-        ++job.cache.stats().decision_hits;
-        a_star[k] = hit->raw;
-        continue;
-      }
-      ++job.cache.stats().decision_misses;
+  if (use_cache) {
+    if (const DecisionCache::Decision* hit = job.cache.FindDecision(
+            bucket, job.status.elapsed_seconds, config_.control.slack)) {
+      ++job.cache.stats().decision_hits;
+      job.a_star = hit->raw;
+      return;
     }
-    double best_u = 0.0;
-    int best_a = config_.min_tokens_per_job;
-    bool first = true;
-    double true_max = -1e300;
-    double prefix_at_winner = 0.0;
-    bool winner_had_prefix = false;
-    double winner_prediction = 0.0;
-    for (int a = config_.min_tokens_per_job; a <= config_.total_tokens; ++a) {
-      double u = utility_at(k, a);
-      if (first || u > best_u + 1e-9) {
-        best_u = u;
-        best_a = a;
-        winner_had_prefix = !first;
-        prefix_at_winner = true_max;
-        if (columns[k] != nullptr) {
-          winner_prediction =
-              (*columns[k])[static_cast<size_t>(a - config_.min_tokens_per_job)];
-        }
-        first = false;
-      }
-      true_max = std::max(true_max, u);
+    ++job.cache.stats().decision_misses;
+  }
+  double best_u = 0.0;
+  size_t best_i = 0;
+  double true_max = -1e300;
+  double prefix_at_winner = 0.0;
+  bool winner_had_prefix = false;
+  for (size_t i = 0; i < width; ++i) {
+    const double u = job.row[i];
+    if (i == 0 || u > best_u + 1e-9) {
+      best_u = u;
+      best_i = i;
+      winner_had_prefix = i != 0;
+      prefix_at_winner = true_max;
     }
-    a_star[k] = best_a;
-    const UtilityPlateau& plateau = job.cache.plateau();
-    if (use_cache && columns[k] != nullptr && plateau.usable &&
-        best_u > plateau.max_utility - kPlateauWinnerSlop &&
-        (!winner_had_prefix ||
-         prefix_at_winner < plateau.max_utility - kPlateauPrefixGuard)) {
-      job.cache.StoreDecision(
-          buckets[k], DecisionCache::Decision{best_a, winner_prediction,
-                                              job.status.elapsed_seconds});
+    true_max = std::max(true_max, u);
+  }
+  job.a_star = first + static_cast<int>(best_i);
+  const UtilityPlateau& plateau = job.cache.plateau();
+  if (use_cache && plateau.usable && best_u > plateau.max_utility - kPlateauWinnerSlop &&
+      (!winner_had_prefix || prefix_at_winner < plateau.max_utility - kPlateauPrefixGuard)) {
+    job.cache.StoreDecision(bucket, DecisionCache::Decision{job.a_star, predictions[best_i],
+                                                            job.status.elapsed_seconds});
+  }
+}
+
+void MultiJobArbiter::Rebalance() {
+  // Active = started and unfinished. Inactive jobs hold zero tokens.
+  const int first = config_.min_tokens_per_job;
+  active_.clear();
+  for (size_t i = 0; i < jobs_.size(); ++i) {
+    ManagedJob& job = *jobs_[i];
+    if (!job.started || job.finished) {
+      last_assignment_[i] = 0;
+      continue;
     }
+    if (job.row_stale) {
+      RefreshRow(job);
+      job.row_stale = false;
+    }
+    active_.push_back(Slot{i, first, job.row[0]});
+  }
+  if (active_.empty()) {
+    return;
   }
 
+  // Greedy water-filling on raw allocations. The budget cannot go negative with
+  // AddJob's over-admission guard; the clamp is defense in depth. Every allocation
+  // the greedy visits stays inside the scan range, so it reads the rows directly.
+  int budget = std::max(0, config_.total_tokens - first * static_cast<int>(active_.size()));
   // Greedy with multi-step lookahead. Fixed small blocks cross prediction plateaus
   // (grid interpolation makes one-token gains zero); the a_star jump crosses utility
-  // cliffs. The per-token gain rate decides among them.
-  while (budget >= config_.grant_step) {
-    double best_rate = 1e-12;  // utility gain per token must be strictly positive
-    int best = -1;
-    int best_block = 0;
-    double best_next = 0.0;
-    for (size_t k = 0; k < active.size(); ++k) {
-      int jump = a_star[k] - raw[k];
-      for (int block : {config_.grant_step, 5 * config_.grant_step, 15 * config_.grant_step,
-                        jump}) {
-        if (block <= 0 || block > budget) {
-          continue;
-        }
-        double next = utility_at(k, raw[k] + block);
-        double rate = (next - utility_now[k]) / static_cast<double>(block);
-        if (rate > best_rate) {
-          best_rate = rate;
-          best = static_cast<int>(k);
-          best_block = block;
-          best_next = next;
-        }
+  // cliffs. The per-token gain rate decides among them; ties go to the lowest job
+  // index, then to the earliest block in the order below. A job's best block only
+  // changes when it is granted or when the shrinking budget rules that block out,
+  // so it is kept per job and recomputed in just those two cases.
+  auto choose_block = [&](Slot& slot) {
+    const ManagedJob& job = *jobs_[slot.job];
+    slot.block_rate = 1e-12;  // utility gain per token must be strictly positive
+    slot.block = 0;
+    for (int block : {config_.grant_step, 5 * config_.grant_step, 15 * config_.grant_step,
+                      job.a_star - slot.raw}) {
+      if (block <= 0 || block > budget) {
+        continue;
+      }
+      const double next = job.row[static_cast<size_t>(slot.raw + block - first)];
+      const double rate = (next - slot.utility_now) / static_cast<double>(block);
+      if (rate > slot.block_rate) {
+        slot.block_rate = rate;
+        slot.block = block;
       }
     }
-    if (best < 0) {
+  };
+  for (Slot& slot : active_) {
+    choose_block(slot);
+  }
+  while (budget >= config_.grant_step) {
+    Slot* best = nullptr;
+    for (Slot& slot : active_) {
+      if (slot.block > budget) {
+        choose_block(slot);
+      }
+      if (slot.block > 0 && (best == nullptr || slot.block_rate > best->block_rate)) {
+        best = &slot;
+      }
+    }
+    if (best == nullptr) {
       break;  // nobody's utility improves: leave the rest of the budget unallocated
     }
-    raw[static_cast<size_t>(best)] += best_block;
-    utility_now[static_cast<size_t>(best)] = best_next;
-    budget -= best_block;
+    best->raw += best->block;
+    best->utility_now = jobs_[best->job]->row[static_cast<size_t>(best->raw - first)];
+    budget -= best->block;
+    choose_block(*best);
   }
 
   // Per-job hysteresis with the snap-to-target convergence of the single-job loop.
-  for (size_t k = 0; k < active.size(); ++k) {
-    ManagedJob& job = *jobs_[active[k]];
+  for (const Slot& slot : active_) {
+    ManagedJob& job = *jobs_[slot.job];
     if (job.smoothed < 0.0) {
-      job.smoothed = raw[k];
+      job.smoothed = slot.raw;
     } else {
-      job.smoothed += config_.control.hysteresis_alpha * (raw[k] - job.smoothed);
-      if (std::abs(job.smoothed - raw[k]) < 0.5) {
-        job.smoothed = raw[k];
+      job.smoothed += config_.control.hysteresis_alpha * (slot.raw - job.smoothed);
+      if (std::abs(job.smoothed - slot.raw) < 0.5) {
+        job.smoothed = slot.raw;
       }
     }
-    last_assignment_[active[k]] = static_cast<int>(std::ceil(job.smoothed - 1e-9));
+    last_assignment_[slot.job] = static_cast<int>(std::ceil(job.smoothed - 1e-9));
   }
 
   // Smoothing can transiently overshoot the budget when one job releases and another
@@ -413,23 +414,23 @@ void MultiJobArbiter::Rebalance() {
   // lookups, where the old token-by-token loop paid one table lookup per trimmed
   // token.
   int total = 0;
-  for (size_t k = 0; k < active.size(); ++k) {
-    total += last_assignment_[active[k]];
+  for (const Slot& slot : active_) {
+    total += last_assignment_[slot.job];
   }
   if (total > config_.total_tokens) {
-    std::vector<int> assignment(active.size());
-    std::vector<int> floors(active.size());
-    for (size_t k = 0; k < active.size(); ++k) {
-      assignment[k] = last_assignment_[active[k]];
-      floors[k] = std::max(raw[k], config_.min_tokens_per_job);
+    std::vector<int> assignment(active_.size());
+    std::vector<int> floors(active_.size());
+    for (size_t k = 0; k < active_.size(); ++k) {
+      assignment[k] = last_assignment_[active_[k].job];
+      floors[k] = std::max(active_[k].raw, config_.min_tokens_per_job);
     }
     int need = TrimTowardFloors(floors, assignment, total - config_.total_tokens);
     if (need > 0) {
       std::fill(floors.begin(), floors.end(), config_.min_tokens_per_job);
       TrimTowardFloors(floors, assignment, need);
     }
-    for (size_t k = 0; k < active.size(); ++k) {
-      last_assignment_[active[k]] = assignment[k];
+    for (size_t k = 0; k < active_.size(); ++k) {
+      last_assignment_[active_[k].job] = assignment[k];
     }
   }
 }

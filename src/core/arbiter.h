@@ -13,6 +13,13 @@
 // same machinery as the single-job controller: U(t_r + slack * C(p, a)), with the
 // utility shifted left by the dead zone. Per-job hysteresis smooths the assignments.
 //
+// A job's expected utility over the whole scan range depends only on its own status,
+// utility and importance, so each job keeps that row (filled by one
+// CompletionTable::PredictRange sweep) and its satisfaction point across ticks,
+// recomputing them only when the job itself ticks or its utility changes. A tick
+// then costs one row refill plus the greedy over the rows, not a table lookup per
+// candidate allocation of every job.
+//
 // Each managed job exposes a JobController adapter (ControllerFor) that plugs into
 // the cluster simulator exactly like a standalone JockeyController.
 
@@ -89,8 +96,8 @@ class MultiJobArbiter {
 
   // Recomputes the global assignment using the latest status of every active job.
   void Rebalance();
-  // Expected weighted utility of job j at allocation a, given its latest status.
-  double ExpectedUtility(const ManagedJob& job, double allocation) const;
+  // Refills a job's utility row and satisfaction point from its latest status.
+  void RefreshRow(ManagedJob& job) const;
   // Re-keys a job's decision cache from the arbiter config and the job's shifted
   // utility / importance (no-op when caching is off).
   void RekeyJobCache(ManagedJob& job) const;
@@ -98,6 +105,16 @@ class MultiJobArbiter {
   ArbiterConfig config_;
   std::vector<std::unique_ptr<ManagedJob>> jobs_;
   std::vector<int> last_assignment_;
+  // Rebalance's working state per active job, kept across calls so that a tick
+  // allocates nothing.
+  struct Slot {
+    size_t job = 0;            // index into jobs_
+    int raw = 0;               // the greedy's allocation so far
+    double utility_now = 0.0;  // the job's row at `raw`
+    double block_rate = 0.0;   // the best gain per token among the candidate blocks
+    int block = 0;             // the block achieving it; 0 = no block gains
+  };
+  std::vector<Slot> active_;
 };
 
 }  // namespace jockey

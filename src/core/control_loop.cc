@@ -291,10 +291,8 @@ int JockeyController::CachedRawAllocation(double elapsed, double progress,
     last_scan_lookups_ = 0;
   } else {
     std::vector<double> fresh(static_cast<size_t>(scan_width));
-    for (int a = config_.min_tokens; a <= config_.max_tokens; ++a) {
-      fresh[static_cast<size_t>(a - config_.min_tokens)] =
-          table_->Predict(progress, a, config_.prediction_quantile);
-    }
+    table_->PredictRange(progress, config_.min_tokens, config_.max_tokens,
+                         config_.prediction_quantile, fresh.data());
     ++decision_cache_.stats().column_misses;
     last_scan_lookups_ = scan_width;
     column = &decision_cache_.StoreColumn(bucket, std::move(fresh));

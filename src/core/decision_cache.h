@@ -1,11 +1,13 @@
 // Control-plane decision caching (the ROADMAP's "Execution Templates for the
 // controller" item). Recurring jobs re-run the same DAG daily, yet the control loop
-// and the multi-job arbiter recompute every allocation decision from scratch — at
-// fleet scale the candidate scan itself (one table lookup per candidate allocation
-// per managed job per tick) becomes the hot path. This cache memoizes that work at
-// two levels, under one hard rule: *the cache may only skip work, never change a
-// decision*. Every checked-in scenario must produce a byte-identical event stream
-// with caching on and off (tests/scenario/decision_cache_differential_test.cc).
+// recomputes every allocation decision from scratch: one table lookup per candidate
+// allocation per tick. This cache memoizes that work at two levels, under one hard
+// rule: *the cache may only skip work, never change a decision*. Every checked-in
+// scenario must produce a byte-identical event stream with caching on and off
+// (tests/scenario/decision_cache_differential_test.cc). The multi-job arbiter keeps
+// each job's utility row across ticks (arbiter.h) and consults the cache only when
+// it refills a row; there the cache no longer measurably pays (DESIGN.md,
+// "Decision caching").
 //
 // Level 1 — prediction columns. CompletionTable::Predict(p, a, q) depends on p only
 // through its progress bucket (CompletionTable::BucketIndex), so the column of raw

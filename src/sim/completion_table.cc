@@ -167,6 +167,34 @@ double CompletionTable::Predict(double p, double allocation, double quantile) co
   return q_lo * (1.0 - frac) + q_hi * frac;
 }
 
+void CompletionTable::PredictRange(double p, int a_first, int a_last, double quantile,
+                                   double* out) const {
+  assert(a_first <= a_last);
+  const int bucket = BucketOf(p);
+  // Predict's search, kept across the sweep: hi is the first column >= the clamped
+  // allocation, so an on-grid a takes the segment below it with frac == 1. Each
+  // column's quantile is looked up once, when hi reaches it.
+  size_t hi = 0;
+  double q_hi = CellQuantile(bucket, 0, quantile);
+  double q_lo = q_hi;
+  for (int a = a_first; a <= a_last; ++a) {
+    const int clamped = std::clamp(a, allocations_.front(), allocations_.back());
+    while (allocations_[hi] < clamped) {
+      ++hi;
+      q_lo = q_hi;
+      q_hi = CellQuantile(bucket, static_cast<int>(hi), quantile);
+    }
+    if (hi == 0) {
+      *out++ = q_hi;
+      continue;
+    }
+    // Integer differences are exact, so this is Predict's frac bit for bit.
+    const double frac = static_cast<double>(clamped - allocations_[hi - 1]) /
+                        static_cast<double>(allocations_[hi] - allocations_[hi - 1]);
+    *out++ = q_lo * (1.0 - frac) + q_hi * frac;
+  }
+}
+
 size_t CompletionTable::TotalSamples() const {
   if (frozen_) {
     return frozen_total_samples_;

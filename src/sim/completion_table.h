@@ -57,6 +57,13 @@ class CompletionTable {
   // Freeze(); only the frozen path is thread-safe.
   double Predict(double p, double allocation, double quantile) const;
 
+  // Predict(p, a, quantile) for every integer a in [a_first, a_last], written to
+  // out[0 .. a_last - a_first]; bit-identical to the per-allocation calls. One sweep
+  // resolves the bucket once and each grid cell's quantile once, where the calls
+  // would repeat a grid search and two cell lookups per allocation. Requires
+  // a_first <= a_last.
+  void PredictRange(double p, int a_first, int a_last, double quantile, double* out) const;
+
   const std::vector<int>& allocations() const { return allocations_; }
   int num_buckets() const { return num_buckets_; }
 

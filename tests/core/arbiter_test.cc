@@ -302,5 +302,32 @@ TEST_F(ArbiterTest, TransientContentionDoesNotCorruptHysteresis) {
   EXPECT_GE(recovered, stable - 1);
 }
 
+// A job's utility can change while the job sits between its own ticks. The next
+// rebalance, whichever job's tick runs it, must already solve with the new utility.
+TEST_F(ArbiterTest, UtilityChangeAppliesBeforeTheJobTicksAgain) {
+  const double deadline = SuggestDeadlineSeconds(*job_a_, true);
+  JobRuntimeStatus status;
+  status.frac_complete.assign(static_cast<size_t>(job_a_->tmpl->graph.num_stages()), 0.05);
+  // A's published share after B's second tick, with or without moving A's deadline
+  // far out (so that any allocation meets it) in between.
+  auto a_share = [&](bool relax) {
+    ArbiterConfig config;
+    config.total_tokens = 12;
+    config.control.hysteresis_alpha = 1.0;  // publish each solve unsmoothed
+    MultiJobArbiter arbiter(config);
+    int ia = arbiter.AddJob(job_a_->jockey, DeadlineUtility(deadline));
+    int ib = arbiter.AddJob(job_a_->jockey, DeadlineUtility(deadline));
+    arbiter.ControllerFor(ia)->OnTick(status);
+    arbiter.ControllerFor(ib)->OnTick(status);
+    if (relax) {
+      arbiter.SetUtility(ia, DeadlineUtility(1000.0 * deadline));
+    }
+    arbiter.ControllerFor(ib)->OnTick(status);
+    return arbiter.last_assignment()[static_cast<size_t>(ia)];
+  };
+  EXPECT_GT(a_share(false), ArbiterConfig().min_tokens_per_job);
+  EXPECT_EQ(a_share(true), ArbiterConfig().min_tokens_per_job);
+}
+
 }  // namespace
 }  // namespace jockey

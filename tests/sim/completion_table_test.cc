@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -220,6 +221,72 @@ TEST(CompletionTableSerializeTest, LoadRejectsGarbageAndTruncation) {
   EXPECT_FALSE(CompletionTable::Load(truncated).has_value());
   std::istringstream empty("", std::ios::binary);
   EXPECT_FALSE(CompletionTable::Load(empty).has_value());
+}
+
+// PredictRange against per-allocation Predict, compared bitwise: every progress
+// bucket plus out-of-range progress, several quantiles, and integer ranges that
+// start and end below the grid front, on grid points, between them and above the
+// back.
+void ExpectRangeMatchesPredict(const CompletionTable& table) {
+  const int back = table.allocations().back();
+  std::vector<double> progress = {-0.3, 0.0, 1.0, 1.4};
+  for (int b = 0; b < table.num_buckets(); ++b) {
+    progress.push_back((b + 0.5) / table.num_buckets());
+    progress.push_back(static_cast<double>(b) / table.num_buckets());
+  }
+  const int firsts[] = {1, table.allocations().front(), table.allocations().front() + 1, 12,
+                        20, back, back + 3};
+  const int lasts[] = {1, 4, 5, 6, 10, 19, 20, 39, back, back + 5};
+  for (double p : progress) {
+    for (double q : {0.0, 0.25, 0.9, 1.0}) {
+      for (int first : firsts) {
+        for (int last : lasts) {
+          if (first > last) {
+            continue;
+          }
+          std::vector<double> range(static_cast<size_t>(last - first + 1));
+          table.PredictRange(p, first, last, q, range.data());
+          for (int a = first; a <= last; ++a) {
+            const double expected = table.Predict(p, a, q);
+            const double got = range[static_cast<size_t>(a - first)];
+            EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+                << "p=" << p << " q=" << q << " range [" << first << ", " << last
+                << "] a=" << a << ": " << got << " vs " << expected;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CompletionTableRangeTest, MutableTableMatchesPredictBitwise) {
+  ExpectRangeMatchesPredict(MakeIrregularTable());
+}
+
+TEST(CompletionTableRangeTest, FrozenTableMatchesPredictBitwise) {
+  CompletionTable table = MakeIrregularTable();
+  table.Freeze();
+  ExpectRangeMatchesPredict(table);
+}
+
+TEST(CompletionTableRangeTest, LoadedTableMatchesPredictBitwise) {
+  CompletionTable table = MakeIrregularTable();
+  table.Freeze();
+  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
+  table.Save(blob);
+  std::optional<CompletionTable> loaded = CompletionTable::Load(blob);
+  ASSERT_TRUE(loaded.has_value());
+  ExpectRangeMatchesPredict(*loaded);
+}
+
+TEST(CompletionTableRangeTest, SingleColumnGridMatchesPredictBitwise) {
+  CompletionTable table({10}, 10);
+  table.AddSample(0.25, 0, 300.0);
+  table.AddSample(0.25, 0, 280.0);
+  table.AddSample(0.85, 0, 40.0);
+  ExpectRangeMatchesPredict(table);
+  table.Freeze();
+  ExpectRangeMatchesPredict(table);
 }
 
 }  // namespace
