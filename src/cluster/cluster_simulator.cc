@@ -134,7 +134,7 @@ int ClusterSimulator::SubmitJob(const JobTemplate& job, const JobSubmission& opt
 
 void ClusterSimulator::Dispatch(const SimEvent& ev) {
   // One profiler region per dispatched event; disabled cost is a relaxed load and
-  // a branch, the same budget the detached observer meets (BENCH_profile.json).
+  // a branch (ProfilerTest.DisabledScopesStayWithinTwoPercentOfAControlTick).
   prof::Scope dispatch_scope("sim_dispatch");
   switch (ev.kind) {
     case SimEvent::Kind::kStartJob:

@@ -339,7 +339,7 @@ int JockeyController::CachedRawAllocation(double elapsed, double progress,
 
 ControlDecision JockeyController::OnTick(const JobRuntimeStatus& status) {
   // Sub-phases profile as control_tick/{policy_eval{,/predict},realloc}; every
-  // guard is a no-op branch while the profiler is disabled (BENCH_profile.json).
+  // guard is a no-op branch while the profiler is disabled (budgeted in profiler_test.cc).
   prof::Scope tick_scope("control_tick");
   if (pending_change_at_ >= 0.0 && status.elapsed_seconds >= pending_change_at_) {
     SetUtility(pending_utility_);

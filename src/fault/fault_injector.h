@@ -54,7 +54,7 @@ class FaultInjector {
   // Gray failures. Each helper front-loads a precomputed per-kind earliest start
   // time, so an injector whose plan carries none of that kind — or only windows
   // that have not begun yet — costs one load + compare per call. These helpers
-  // sit on the cluster's per-dispatch hot path, inside the BENCH_fault budget.
+  // sit on the cluster's per-dispatch hot path.
   //
   // Product of the slowdown factors of every machine_slowdown window covering
   // (`now`, `machine`); 1.0 when none do. Applied to attempt service times.

@@ -40,7 +40,7 @@ bool ParseField(std::string_view raw, uint64_t* out) { return ParseJsonInt(raw, 
 // A required field must be present and well-formed.
 template <typename T>
 bool ReadRequired(const FlatJsonFields& fields, const char* key, T* out) {
-  const std::string_view* raw = fields.Find(key);
+  const std::string_view* raw = fields.FindBare(key);
   return raw != nullptr && ParseField(*raw, out);
 }
 
@@ -194,11 +194,11 @@ std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
       return Fail(error, "line " + std::to_string(line_no) + ": " + message);
     };
     if (!ParseFlatJsonObject(line, fields)) {
-      return fail("malformed JSON");
+      return fail(fields.ParseError());
     }
-    const std::string_view* kind_name = fields.Find("kind");
+    const std::string_view* kind_name = fields.FindString("kind");
     if (kind_name == nullptr) {
-      return fail("missing \"kind\"");
+      return fail("missing or unquoted \"kind\"");
     }
     if (*kind_name == "fault_plan") {
       if (!ReadRequired(fields, "seed", &plan.seed_)) {
@@ -220,8 +220,9 @@ std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
     // default.
     const char* malformed = nullptr;
     auto optional = [&](const char* key, auto* out) {
-      const std::string_view* raw = fields.Find(key);
-      if (malformed == nullptr && raw != nullptr && !ParseField(*raw, out)) {
+      const FlatJsonFields::Field* field = fields.Find(key);
+      if (malformed == nullptr && field != nullptr &&
+          (field->quoted || !ParseField(field->value, out))) {
         malformed = key;
       }
     };

@@ -13,9 +13,8 @@
 //    reruns; a regression test asserts this.
 //  * Zero-cost detachment: nothing in the simulator or the controller references a
 //    plan directly — they hold a nullable FaultInjector pointer, and the detached
-//    path is one branch per injection site (the BENCH_fault.json budget is the same
-//    <= 2% the obs layer uses). A detached plan changes no simulation result
-//    bit-for-bit.
+//    path is one branch per injection site. A detached plan changes no simulation
+//    result bit-for-bit.
 //  * Windows are half-open [start_seconds, end_seconds) in simulated time, and may
 //    overlap freely; each injection site consults the first matching window of its
 //    kind. FaultKind lives in trace_event.h so plans and the fault_injected events

@@ -312,22 +312,22 @@ bool FieldReader::Miss(const char* key) {
 }
 
 bool FieldReader::Num(const char* key, double& out) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindBare(key);
   return (v != nullptr && ParseJsonNumber(*v, out)) || Miss(key);
 }
 
 bool FieldReader::Int(const char* key, int& out) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindBare(key);
   return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
 }
 
 bool FieldReader::Uint(const char* key, uint64_t& out) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindBare(key);
   return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
 }
 
 bool FieldReader::Bool(const char* key, bool& out) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindBare(key);
   if (v != nullptr && (*v == "true" || *v == "false")) {
     out = *v == "true";
     return true;
@@ -336,7 +336,7 @@ bool FieldReader::Bool(const char* key, bool& out) {
 }
 
 bool FieldReader::Hex(const char* key, uint64_t& out) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindString(key);
   if (v == nullptr || v->size() != 16) {
     return Miss(key);
   }
@@ -354,7 +354,7 @@ bool FieldReader::Hex(const char* key, uint64_t& out) {
 
 template <typename E>
 bool FieldReader::Enum(const char* key, E& out, const char* (*name)(E), E last) {
-  const std::string_view* v = fields_.Find(key);
+  const std::string_view* v = fields_.FindString(key);
   if (v != nullptr) {
     for (int i = 0; i <= static_cast<int>(last); ++i) {
       if (*v == name(static_cast<E>(i))) {
@@ -469,7 +469,7 @@ const std::unordered_map<std::string_view, PayloadReader>& PayloadReaders() {
 // ParseTraceLine over caller-owned field storage, so a stream reader reuses it.
 bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEvent& event,
                         TraceParseIssue* issue) {
-  auto fail = [issue](const char* field, std::string message) {
+  auto fail = [issue](std::string_view field, std::string message) {
     if (issue != nullptr) {
       issue->field = field;
       issue->message = std::move(message);
@@ -477,15 +477,15 @@ bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEven
     return false;
   };
   if (!ParseFlatJsonObject(line, fields)) {
-    return fail("", "malformed JSON object");
+    return fail(fields.duplicate_key, fields.ParseError());
   }
-  const std::string_view* t = fields.Find("t");
+  const std::string_view* t = fields.FindBare("t");
   if (t == nullptr || !ParseJsonNumber(*t, event.time_seconds)) {
     return fail("t", "missing or non-numeric timestamp");
   }
-  const std::string_view* kind = fields.Find("kind");
+  const std::string_view* kind = fields.FindString("kind");
   if (kind == nullptr) {
-    return fail("kind", "missing kind");
+    return fail("kind", "missing or unquoted kind");
   }
   auto reader = PayloadReaders().find(*kind);
   if (reader == PayloadReaders().end()) {
@@ -500,18 +500,34 @@ bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEven
 
 }  // namespace
 
-const std::string_view* FlatJsonFields::Find(std::string_view key) const {
-  for (const auto& [k, v] : fields) {
-    if (k == key) {
-      return &v;
+const FlatJsonFields::Field* FlatJsonFields::Find(std::string_view key) const {
+  for (const Field& field : fields) {
+    if (field.key == key) {
+      return &field;
     }
   }
   return nullptr;
 }
 
+const std::string_view* FlatJsonFields::FindBare(std::string_view key) const {
+  const Field* field = Find(key);
+  return field != nullptr && !field->quoted ? &field->value : nullptr;
+}
+
+const std::string_view* FlatJsonFields::FindString(std::string_view key) const {
+  const Field* field = Find(key);
+  return field != nullptr && field->quoted ? &field->value : nullptr;
+}
+
+std::string FlatJsonFields::ParseError() const {
+  return duplicate_key.empty() ? "malformed JSON object"
+                               : "duplicate key '" + std::string(duplicate_key) + "'";
+}
+
 bool ParseFlatJsonObject(std::string_view line, FlatJsonFields& out) {
   out.fields.clear();
   out.unescaped.clear();
+  out.duplicate_key = {};
   Tokenizer tok(line, out.unescaped);
   tok.SkipSpace();
   if (!tok.Consume('{')) {
@@ -533,10 +549,15 @@ bool ParseFlatJsonObject(std::string_view line, FlatJsonFields& out) {
       return false;
     }
     tok.SkipSpace();
-    if (!(tok.AtEnd() || tok.Peek() != '"' ? tok.Bare(value) : tok.Quoted(value))) {
+    const bool quoted = !tok.AtEnd() && tok.Peek() == '"';
+    if (!(quoted ? tok.Quoted(value) : tok.Bare(value))) {
       return false;
     }
-    out.fields.emplace_back(key, value);
+    if (out.Find(key) != nullptr) {
+      out.duplicate_key = key;
+      return false;
+    }
+    out.fields.push_back({key, value, quoted});
     tok.SkipSpace();
     if (tok.Consume('}')) {
       return true;

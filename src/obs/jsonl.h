@@ -29,23 +29,39 @@
 
 namespace jockey {
 
-// A flat one-level JSON object split into (key, value text) pairs; string values are
-// stored unquoted and unescaped. This is the one tokenizer under every flat-JSONL
-// reader — traces here, fault plans (fault_plan.cc) and time series
-// (timeseries.cc) — so there is a single dialect. Keys and values are views into
-// the parsed line, or into `unescaped` for the rare string holding a backslash
-// escape: they stay valid while that line does and until the next parse into the
-// same object. Reuse one object across lines to parse without allocating.
+// A flat one-level JSON object split into (key, value text) fields; string values
+// are stored unquoted and unescaped, with a flag saying they were quoted. This is
+// the one tokenizer under every flat-JSONL reader — traces here, fault plans
+// (fault_plan.cc) and time series (timeseries.cc) — so there is a single dialect,
+// and a strict one: a key appears at most once, numbers and booleans must be bare
+// and strings quoted, exactly as the writers emit them. Keys and values are views
+// into the parsed line, or into `unescaped` for the rare string holding a
+// backslash escape: they stay valid while that line does and until the next parse
+// into the same object. Reuse one object across lines to parse without allocating.
 struct FlatJsonFields {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
+  struct Field {
+    std::string_view key;
+    std::string_view value;
+    bool quoted = false;
+  };
+  std::vector<Field> fields;
   std::string unescaped;  // backing storage for escaped strings, reused across lines
+  // After a parse that failed on a repeated key: that key. Empty otherwise.
+  std::string_view duplicate_key;
 
-  // The first value stored under `key`, or nullptr.
-  const std::string_view* Find(std::string_view key) const;
+  // The field stored under `key`, or nullptr.
+  const Field* Find(std::string_view key) const;
+  // The value of a number or boolean field; nullptr if absent or quoted.
+  const std::string_view* FindBare(std::string_view key) const;
+  // The value of a string field (a kind, an enumerator name, a hex key); nullptr if
+  // absent or bare.
+  const std::string_view* FindString(std::string_view key) const;
+  // Why the last parse failed: "duplicate key 'k'" or "malformed JSON object".
+  std::string ParseError() const;
 };
 
 // Parses one `{"k":v,...}` line into `out`, replacing its previous contents.
-// Returns false on malformed input.
+// Returns false on malformed input or a repeated key (named in `duplicate_key`).
 bool ParseFlatJsonObject(std::string_view line, FlatJsonFields& out);
 
 // Appends one line, no trailing newline: the writer behind every trace sink.

@@ -14,9 +14,9 @@
 // Design:
 //  * Process-wide off by default. A disabled Scope is one relaxed atomic load and
 //    a branch — cheap enough to leave compiled into the control tick, the
-//    simulator event dispatch and the table build permanently. BENCH_profile.json
-//    (bench_micro) holds the disabled path to a ≤2% control-tick overhead budget,
-//    the same bar the null-sink observer path meets.
+//    simulator event dispatch and the table build permanently. The ctest
+//    ProfilerTest.DisabledScopesStayWithinTwoPercentOfAControlTick holds the
+//    disabled path to a ≤2% control-tick overhead budget (it reads about 0.3%).
 //  * Thread-local call stacks: each thread owns a private tree of (parent, name)
 //    nodes, so the table build's worker threads profile without sharing anything
 //    on the hot path. Tables merge at Snapshot() / thread exit.

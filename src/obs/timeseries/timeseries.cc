@@ -240,16 +240,16 @@ struct LineCtx {
   std::string error;  // first missing/malformed field
 
   bool Num(const char* key, double& out) {
-    const std::string_view* v = fields.Find(key);
+    const std::string_view* v = fields.FindBare(key);
     return (v != nullptr && ParseJsonNumber(*v, out)) || Fail(key);
   }
   template <typename T>
   bool Int(const char* key, T& out) {
-    const std::string_view* v = fields.Find(key);
+    const std::string_view* v = fields.FindBare(key);
     return (v != nullptr && ParseJsonInt(*v, out)) || Fail(key);
   }
   bool Bool(const char* key, bool& out) {
-    const std::string_view* v = fields.Find(key);
+    const std::string_view* v = fields.FindBare(key);
     if (v == nullptr || (*v != "true" && *v != "false")) {
       return Fail(key);
     }
@@ -257,7 +257,7 @@ struct LineCtx {
     return true;
   }
   bool State(const char* key, SloState& out) {
-    const std::string_view* v = fields.Find(key);
+    const std::string_view* v = fields.FindString(key);
     if (v == nullptr) {
       return Fail(key);
     }
@@ -307,11 +307,11 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
       continue;
     }
     if (!ParseFlatJsonObject(line, fields)) {
-      return fail("malformed JSON object");
+      return fail(fields.ParseError());
     }
-    const std::string_view* kind = fields.Find("kind");
+    const std::string_view* kind = fields.FindString("kind");
     if (kind == nullptr) {
-      return fail("missing kind");
+      return fail("missing or unquoted kind");
     }
     LineCtx ctx{fields, {}};
     double t = 0.0;

@@ -7,16 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "src/core/completion_model.h"
 #include "src/core/control_loop.h"
 #include "src/core/utility.h"
+#include "src/dag/profile.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/obs/metrics.h"
+#include "src/workload/job_generator.h"
 
 namespace jockey {
 namespace {
@@ -184,6 +190,57 @@ TEST(DecisionCacheControllerTest, CachedControllerMatchesUncachedTickForTick) {
   EXPECT_GT(cached.cache_stats().column_hits, 0);
   EXPECT_GT(cached.cache_stats().decision_hits, 0);
   EXPECT_EQ(cached.cache_stats().bypasses, 0);
+}
+
+// The same rule on a catalog job and a fleet: 64 controllers over catalog job C's
+// table, deadlines and progress ramps staggered so the replay crosses many progress
+// buckets and utility shapes, each cached controller ticked in lockstep with an
+// uncached twin.
+TEST(DecisionCacheControllerTest, CatalogFleetMatchesUncachedTickForTick) {
+  JobTemplate tmpl = GenerateJob(JobSpecC());
+  Rng rng(3);
+  RunTrace trace;
+  for (int s = 0; s < tmpl.graph.num_stages(); ++s) {
+    for (int i = 0; i < tmpl.graph.stage(s).num_tasks; ++i) {
+      double d = tmpl.runtime[static_cast<size_t>(s)].SampleSeconds(rng);
+      trace.tasks.push_back({{s, i}, 0.0, 1.0, 1.0 + d, 0, 0.0});
+    }
+  }
+  trace.finish_time = 1.0;
+  JobProfile profile = JobProfile::FromTrace(tmpl.graph, trace);
+  auto indicator = std::shared_ptr<const ProgressIndicator>(
+      MakeIndicator(IndicatorKind::kTotalWorkWithQ, tmpl.graph, profile));
+  auto table = std::make_shared<CompletionTable>(
+      BuildCompletionTable(tmpl.graph, profile, *indicator, CompletionModelConfig()));
+  constexpr int kControllers = 64;
+  constexpr int kTicks = 200;
+  const size_t stages = static_cast<size_t>(tmpl.graph.num_stages());
+
+  DecisionCacheStats stats;
+  for (int c = 0; c < kControllers; ++c) {
+    ControlLoopConfig cached_config;
+    cached_config.enable_decision_cache = true;
+    PiecewiseLinear utility = DeadlineUtility(3600.0 + 120.0 * (c % 8));
+    JockeyController cached(indicator, table, utility, cached_config);
+    JockeyController uncached(indicator, table, utility, ControlLoopConfig());
+    JobRuntimeStatus status;
+    const double ramp_ticks = static_cast<double>(kTicks + 20 * (c % 5));
+    for (int t = 0; t < kTicks; ++t) {
+      status.elapsed_seconds = 60.0 * (t + 1);
+      status.frac_complete.assign(stages, std::min(1.0, (t + 1) / ramp_ticks));
+      ControlDecision a = cached.OnTick(status);
+      ControlDecision b = uncached.OnTick(status);
+      ASSERT_EQ(a.guaranteed_tokens, b.guaranteed_tokens) << "controller " << c << " tick " << t;
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.raw_allocation),
+                std::bit_cast<uint64_t>(b.raw_allocation))
+          << "controller " << c << " tick " << t << ": " << a.raw_allocation << " vs "
+          << b.raw_allocation;
+    }
+    stats.column_hits += cached.cache_stats().column_hits;
+    stats.decision_hits += cached.cache_stats().decision_hits;
+  }
+  EXPECT_GT(stats.column_hits, 0);
+  EXPECT_GT(stats.decision_hits, 0);
 }
 
 TEST(DecisionCacheControllerTest, SetUtilityInvalidatesMemoizedDecisions) {

@@ -205,6 +205,14 @@ TEST(FaultPlanTest, LoadRejectsMalformedPresentFields) {
       {"{\"kind\":\"adversarial_spike\",\"start\":0,\"end\":1,\"magnitude\":1,"
        "\"period\":nan}\n",
        "\"period\""},
+      // Ambiguous lines: a repeated key, a quoted number, a bare string.
+      {"{\"kind\":\"control_blackout\",\"start\":60,\"end\":120,\"job\":1,\"job\":2}\n",
+       "duplicate key 'job'"},
+      {"{\"kind\":\"control_blackout\",\"start\":60,\"end\":120,\"job\":\"5\"}\n",
+       "\"job\""},
+      {"{\"kind\":\"control_blackout\",\"start\":\"60\",\"end\":120}\n", "start/end"},
+      {"{\"kind\":\"fault_plan\",\"seed\":\"7\"}\n", "bad plan seed"},
+      {"{\"kind\":control_blackout,\"start\":60,\"end\":120}\n", "\"kind\""},
   };
   for (const Case& c : cases) {
     std::istringstream in(c.text);

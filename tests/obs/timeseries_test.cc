@@ -257,6 +257,22 @@ TEST(TimeSeriesJsonlTest, ReaderRejectsNonCanonicalNumbers) {
       {"{\"t\":\"\",\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1,"
        "\"background\":1,\"spare\":1}",
        "'t'"},
+      // Ambiguous lines: a repeated key, a quoted number or boolean, a bare string.
+      {"{\"t\":60,\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1,"
+       "\"background\":1,\"spare\":1,\"up\":2}",
+       "'up'"},
+      {"{\"t\":60,\"kind\":\"ts_cluster\",\"run\":0,\"utilization\":1,\"up\":1,"
+       "\"background\":1,\"spare\":\"1\"}",
+       "'spare'"},
+      {"{\"t\":60,\"kind\":\"ts_job_end\",\"run\":0,\"job\":0,\"deadline\":1,"
+       "\"finished\":\"true\",\"completion\":1,\"final\":\"on_track\",\"dropped\":0}",
+       "'finished'"},
+      {"{\"t\":60,\"kind\":\"ts_job_end\",\"run\":0,\"job\":0,\"deadline\":1,"
+       "\"finished\":true,\"completion\":1,\"final\":on_track,\"dropped\":0}",
+       "'final'"},
+      {"{\"t\":60,\"kind\":ts_cluster,\"run\":0,\"utilization\":1,\"up\":1,"
+       "\"background\":1,\"spare\":1}",
+       "kind"},
   };
   for (const Case& c : cases) {
     std::istringstream in(header + c.line + "\n");

@@ -212,6 +212,16 @@ TEST(TraceJsonlTest, RejectsNonCanonicalAndOutOfRangeFields) {
       {R"({"t":1,"kind":"job_finish","job":1,"completion":0x10})", "completion"},
       {R"({"t":nan,"kind":"job_finish","job":1,"completion":1})", "t"},
       {R"({"t":1e999,"kind":"job_finish","job":1,"completion":1})", "t"},
+      // Ambiguous lines: a repeated key, a quoted number or boolean, a bare string.
+      {R"({"t":1,"kind":"job_submit","job":1,"job":2,"tokens":3})", "job"},
+      {R"({"t":1,"kind":"job_submit","job":"5","tokens":1})", "job"},
+      {R"({"t":"1","kind":"job_submit","job":5,"tokens":1})", "t"},
+      {R"({"t":1,"kind":"task_complete","job":1,"stage":0,"task":0,"spare":"true","speculative":false})",
+       "spare"},
+      {R"({"t":1,"kind":job_submit,"job":1,"tokens":1})", "kind"},
+      {R"({"t":0,"kind":"table_cache_evict","key":0000000000000001,"bytes":5})", "key"},
+      {R"({"t":1,"kind":"task_killed","job":1,"stage":0,"task":0,"reason":task_failure,"requeued":true})",
+       "reason"},
   };
   for (const Case& c : cases) {
     TraceParseIssue issue;
@@ -227,21 +237,28 @@ TEST(FlatJsonTest, EscapedStringsDecodeAndPlainOnesStayViews) {
   std::string line = R"({"plain":"abc","esc\"key":"a\\b\nc","num": 12 ,"last":"x\ty"})";
   ASSERT_TRUE(ParseFlatJsonObject(line, fields));
   ASSERT_EQ(fields.fields.size(), 4u);
-  const std::string_view* plain = fields.Find("plain");
+  const std::string_view* plain = fields.FindString("plain");
   ASSERT_NE(plain, nullptr);
   EXPECT_EQ(*plain, "abc");
   EXPECT_GE(plain->data(), line.data());
   EXPECT_LT(plain->data(), line.data() + line.size());
-  const std::string_view* escaped = fields.Find("esc\"key");
+  const std::string_view* escaped = fields.FindString("esc\"key");
   ASSERT_NE(escaped, nullptr);
   EXPECT_EQ(*escaped, "a\\b\nc");
-  EXPECT_EQ(*fields.Find("num"), "12");
-  EXPECT_EQ(*fields.Find("last"), "x\ty");
+  EXPECT_EQ(*fields.FindBare("num"), "12");
+  EXPECT_EQ(*fields.FindString("last"), "x\ty");
+  // Quoting is part of the value: a string is not a number, nor the reverse.
+  EXPECT_EQ(fields.FindBare("plain"), nullptr);
+  EXPECT_EQ(fields.FindString("num"), nullptr);
 
   // Reuse replaces the previous contents.
   ASSERT_TRUE(ParseFlatJsonObject(R"({"only":1})", fields));
   ASSERT_EQ(fields.fields.size(), 1u);
   EXPECT_EQ(fields.Find("plain"), nullptr);
+
+  // A repeated key is rejected and named, even when the values agree.
+  EXPECT_FALSE(ParseFlatJsonObject(R"({"a":1,"b":2,"a":1})", fields));
+  EXPECT_EQ(fields.duplicate_key, "a");
 
   for (const char* bad : {"", "[]", "{", R"({"a")", R"({"a":})", R"({"a":1)",
                           R"({a:1})", R"({"a":"unterminated})"}) {

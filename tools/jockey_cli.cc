@@ -717,6 +717,38 @@ std::string ChaosClassListLine() {
   return line;
 }
 
+// Resolves `--classes` ("all", empty, or a comma list of registry names) into
+// chaos-matrix rows scaled to `deadline`, in list order. An unknown name (an empty
+// list item included) prints a diagnostic and returns nullopt (exit 2).
+std::optional<std::vector<ChaosClass>> SelectChaosClasses(const std::string& classes,
+                                                          double deadline) {
+  const int machines = DefaultExperimentCluster(0).num_machines;
+  if (classes == "all" || classes.empty()) {
+    return BuildChaosMatrix(deadline, machines);
+  }
+  std::vector<ChaosClass> matrix;
+  std::stringstream list(classes);
+  std::string token;
+  while (std::getline(list, token, ',')) {
+    std::optional<FaultPlan> plan = BuildChaosClassPlan(token, deadline, machines);
+    if (!plan.has_value()) {
+      std::fprintf(stderr, "unknown fault class '%s' (see --help)\n", token.c_str());
+      return std::nullopt;
+    }
+    matrix.push_back({token, std::move(*plan)});
+  }
+  return matrix;
+}
+
+// RunExperiment wants a TrainedJob; wraps an already-built model without copying it
+// (the aliasing shared_ptr does not own — `model` must outlive every run).
+TrainedJob WrapModel(const PlanResult& plan, const Jockey& model) {
+  TrainedJob trained;
+  trained.tmpl = std::make_shared<const JobTemplate>(plan.job);
+  trained.jockey = std::shared_ptr<const Jockey>(std::shared_ptr<const Jockey>(), &model);
+  return trained;
+}
+
 int CmdChaos(int argc, char** argv, const std::string& path, const std::string& trace_path) {
   double deadline_minutes = -1.0;
   uint64_t first_seed = 1;
@@ -794,39 +826,13 @@ int CmdChaos(int argc, char** argv, const std::string& path, const std::string& 
     }
     matrix.push_back({"custom", std::move(*custom)});
   } else {
-    ClusterConfig reference = DefaultExperimentCluster(0);
-    std::vector<ChaosClass> all = BuildChaosMatrix(deadline, reference.num_machines);
-    if (classes == "all" || classes.empty()) {
-      matrix = std::move(all);
-    } else {
-      std::stringstream list(classes);
-      std::string token;
-      while (std::getline(list, token, ',')) {
-        bool known = false;
-        for (const ChaosClass& entry : all) {
-          if (entry.name == token) {
-            matrix.push_back(entry);
-            known = true;
-            break;
-          }
-        }
-        if (!known) {
-          std::fprintf(stderr, "unknown fault class '%s' (see --help)\n", token.c_str());
-          return 2;
-        }
-      }
+    std::optional<std::vector<ChaosClass>> resolved = SelectChaosClasses(classes, deadline);
+    if (!resolved.has_value()) {
+      return 2;
     }
+    matrix = std::move(*resolved);
   }
-  if (matrix.empty()) {
-    std::fprintf(stderr, "no fault classes selected\n");
-    return 2;
-  }
-
-  // RunExperiment wants a TrainedJob; wrap the already-built model without copying
-  // it (the aliasing shared_ptr does not own — `model` outlives every run).
-  TrainedJob trained;
-  trained.tmpl = std::make_shared<const JobTemplate>(plan->job);
-  trained.jockey = std::shared_ptr<const Jockey>(std::shared_ptr<const Jockey>(), &*model);
+  TrainedJob trained = WrapModel(*plan, *model);
 
   ControlLoopConfig hardened_control = model->config().control;
   hardened_control.enable_degraded_mode = true;
@@ -1043,37 +1049,12 @@ int CmdTune(int argc, char** argv, const std::string& path, const std::string& t
   }
   const double deadline = deadline_minutes * 60.0;
 
-  ClusterConfig reference = DefaultExperimentCluster(0);
-  std::vector<ChaosClass> all = BuildChaosMatrix(deadline, reference.num_machines);
-  std::vector<ChaosClass> matrix;
-  if (classes == "all" || classes.empty()) {
-    matrix = std::move(all);
-  } else {
-    std::stringstream list(classes);
-    std::string token;
-    while (std::getline(list, token, ',')) {
-      bool known = false;
-      for (const ChaosClass& entry : all) {
-        if (entry.name == token) {
-          matrix.push_back(entry);
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        std::fprintf(stderr, "unknown fault class '%s' (see --help)\n", token.c_str());
-        return 2;
-      }
-    }
-  }
-  if (matrix.empty()) {
-    std::fprintf(stderr, "no fault classes selected\n");
+  std::optional<std::vector<ChaosClass>> resolved = SelectChaosClasses(classes, deadline);
+  if (!resolved.has_value()) {
     return 2;
   }
-
-  TrainedJob trained;
-  trained.tmpl = std::make_shared<const JobTemplate>(plan->job);
-  trained.jockey = std::shared_ptr<const Jockey>(std::shared_ptr<const Jockey>(), &*model);
+  const std::vector<ChaosClass>& matrix = *resolved;
+  TrainedJob trained = WrapModel(*plan, *model);
 
   ControlLoopConfig defaults = model->config().control;
   defaults.enable_degraded_mode = true;
