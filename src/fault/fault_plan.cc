@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "src/obs/json_format.h"
 #include "src/obs/jsonl.h"
 
 namespace jockey {
@@ -22,27 +21,23 @@ FaultWindow MakeWindow(FaultKind kind, double start, double end, int job,
   return w;
 }
 
-// The shared fault-kind registry (trace_event.h) in the bool-out shape the loader
-// uses; a new kind missing its name shows up as a load failure, not a silent default.
-bool FaultKindFromName(const std::string& name, FaultKind* out) {
-  std::optional<FaultKind> kind = ParseFaultKind(name);
-  if (!kind.has_value()) {
-    return false;
-  }
-  *out = *kind;
-  return true;
-}
+// The plan header line, {"kind":"fault_plan","seed":N}.
+struct PlanHeader {
+  uint64_t seed = 1;
+};
+constexpr std::tuple kHeaderFields{Field("seed", &PlanHeader::seed)};
 
-bool ParseField(std::string_view raw, double* out) { return ParseJsonNumber(raw, *out); }
-bool ParseField(std::string_view raw, int* out) { return ParseJsonInt(raw, *out); }
-bool ParseField(std::string_view raw, uint64_t* out) { return ParseJsonInt(raw, *out); }
-
-// A required field must be present and well-formed.
-template <typename T>
-bool ReadRequired(const FlatJsonFields& fields, const char* key, T* out) {
-  const std::string_view* raw = fields.FindBare(key);
-  return raw != nullptr && ParseField(*raw, out);
-}
+// A window line: {"kind":"<fault kind>", then these. The optional fields keep
+// hand-written plans terse; their defaults are FaultWindow's. A present field must
+// still be well-formed: a typo never silently becomes the default.
+constexpr std::tuple kWindowFields{
+    Field("start", &FaultWindow::start_seconds),
+    Field("end", &FaultWindow::end_seconds),
+    Field("job", &FaultWindow::job, kOptional),
+    Field("magnitude", &FaultWindow::magnitude, kOptional),
+    Field("first_machine", &FaultWindow::first_machine, kOptional),
+    Field("machine_count", &FaultWindow::machine_count, kOptional),
+    Field("period", &FaultWindow::period_seconds, kOptional)};
 
 std::optional<FaultPlan> Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -169,16 +164,17 @@ std::string FaultPlan::Validate() const {
 }
 
 void FaultPlan::Save(std::ostream& os) const {
-  os << "{\"kind\":\"fault_plan\",\"seed\":" << seed_ << "}\n";
+  std::string line = "{\"kind\":\"fault_plan\"";
+  AppendFields<kHeaderFields>(line, PlanHeader{seed_});
+  line += "}\n";
   for (const FaultWindow& w : windows_) {
-    os << "{\"kind\":\"" << FaultKindName(w.kind) << "\""
-       << ",\"start\":" << JsonNumber(w.start_seconds)
-       << ",\"end\":" << JsonNumber(w.end_seconds) << ",\"job\":" << w.job
-       << ",\"magnitude\":" << JsonNumber(w.magnitude)
-       << ",\"first_machine\":" << w.first_machine
-       << ",\"machine_count\":" << w.machine_count
-       << ",\"period\":" << JsonNumber(w.period_seconds) << "}\n";
+    line += "{\"kind\":\"";
+    line += FaultKindName(w.kind);
+    line += '"';
+    AppendFields<kWindowFields>(line, w);
+    line += "}\n";
   }
+  os << line;
 }
 
 std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
@@ -201,40 +197,28 @@ std::optional<FaultPlan> FaultPlan::Load(std::istream& is, std::string* error) {
       return fail("missing or unquoted \"kind\"");
     }
     if (*kind_name == "fault_plan") {
-      if (!ReadRequired(fields, "seed", &plan.seed_)) {
+      PlanHeader header;
+      if (!ReadFields<kHeaderFields>(fields, header)) {
         return fail("bad plan seed");
       }
+      plan.seed_ = header.seed;
       saw_header = true;
-      continue;
-    }
-    FaultWindow w;
-    if (!FaultKindFromName(std::string(*kind_name), &w.kind)) {
-      return fail("unknown fault kind \"" + std::string(*kind_name) + "\"");
-    }
-    if (!ReadRequired(fields, "start", &w.start_seconds) ||
-        !ReadRequired(fields, "end", &w.end_seconds)) {
-      return fail("missing start/end");
-    }
-    // Optional fields keep hand-written plans terse; defaults match FaultWindow. A
-    // present field must still be well-formed: a typo never silently becomes the
-    // default.
-    const char* malformed = nullptr;
-    auto optional = [&](const char* key, auto* out) {
-      const FlatJsonFields::Field* field = fields.Find(key);
-      if (malformed == nullptr && field != nullptr &&
-          (field->quoted || !ParseField(field->value, out))) {
-        malformed = key;
+    } else {
+      std::optional<FaultKind> kind = ParseFaultKind(*kind_name);
+      if (!kind.has_value()) {
+        return fail("unknown fault kind \"" + std::string(*kind_name) + "\"");
       }
-    };
-    optional("job", &w.job);
-    optional("magnitude", &w.magnitude);
-    optional("first_machine", &w.first_machine);
-    optional("machine_count", &w.machine_count);
-    optional("period", &w.period_seconds);
-    if (malformed != nullptr) {
-      return fail(std::string("malformed \"") + malformed + "\"");
+      FaultWindow w;
+      w.kind = *kind;
+      if (!ReadFields<kWindowFields>(fields, w)) {
+        return fail("bad \"" + std::string(fields.rejected_key) +
+                    "\" (start/end are required, the rest optional)");
+      }
+      plan.windows_.push_back(w);
     }
-    plan.windows_.push_back(w);
+    if (const FlatJsonFields::Field* extra = fields.FirstUnread()) {
+      return fail("undefined key \"" + std::string(extra->key) + "\"");
+    }
   }
   if (!saw_header && plan.windows_.empty()) {
     return Fail(error, "empty fault plan (no header, no windows)");

@@ -13,12 +13,16 @@
 #define SRC_OBS_JSON_FORMAT_H_
 
 #include <charconv>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
 
 namespace jockey {
+
+struct FlatJsonFields;  // jsonl.h
 
 // Appends the shortest %g form that round-trips: tries increasing precision
 // (%.15g, %.16g, %.17g, via std::to_chars) and keeps the first that parses back
@@ -51,6 +55,30 @@ bool ParseJsonInt(std::string_view text, T& out) {
   out = value;
   return true;
 }
+
+// One field of a flat JSONL record, one canonical spelling per value type: the codec
+// halves behind jsonl.h's field tables (AppendFields / ReadFields). They live here,
+// apart from the tables that call them, so each stays one out-of-line copy instead of
+// being inlined at every field of every table. Each Append*Field writes
+// `,"key":value`: numbers, integers and booleans bare; hex keys (16 lowercase digits)
+// and enumerator names quoted. Each Read*Field reads `key` from `in` into `out`,
+// accepting exactly that spelling; when the field is malformed, or absent and not
+// `optional`, it sets `in.rejected_key` and returns false.
+void AppendNumberField(std::string& out, std::string_view key, double value);
+void AppendIntField(std::string& out, std::string_view key, int64_t value);
+void AppendUintField(std::string& out, std::string_view key, uint64_t value);
+void AppendBoolField(std::string& out, std::string_view key, bool value);
+void AppendHexField(std::string& out, std::string_view key, uint64_t value);
+void AppendNameField(std::string& out, std::string_view key, std::string_view name);
+bool ReadNumberField(FlatJsonFields& in, std::string_view key, bool optional, double& out);
+bool ReadIntField(FlatJsonFields& in, std::string_view key, bool optional, int& out);
+bool ReadIntField(FlatJsonFields& in, std::string_view key, bool optional, int64_t& out);
+bool ReadIntField(FlatJsonFields& in, std::string_view key, bool optional, uint64_t& out);
+bool ReadBoolField(FlatJsonFields& in, std::string_view key, bool optional, bool& out);
+bool ReadHexField(FlatJsonFields& in, std::string_view key, bool optional, uint64_t& out);
+// `names` is an enum's wire-name array; `index` receives the position of the match.
+bool ReadNameField(FlatJsonFields& in, std::string_view key, bool optional,
+                   const std::string_view* names, size_t count, size_t& index);
 
 }  // namespace jockey
 

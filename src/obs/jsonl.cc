@@ -1,9 +1,8 @@
 #include "src/obs/jsonl.h"
 
-#include <charconv>
+#include <array>
 #include <istream>
 #include <ostream>
-#include <unordered_map>
 #include <utility>
 
 #include "src/obs/json_format.h"
@@ -11,179 +10,171 @@
 namespace jockey {
 namespace {
 
-// --- Writer: appends `,"key":value` fields straight into the caller's buffer. ---
+// Each payload kind's field table: the whole JSONL format of a trace line after its
+// "t" and "kind". A kind without a table does not compile.
+template <typename Payload>
+constexpr auto kPayloadFields = nullptr;
 
-void AppendKey(std::string& out, std::string_view key) {
-  out += ",\"";
-  out += key;
-  out += "\":";
+template <>
+constexpr auto kPayloadFields<ControlTickEvent> = std::tuple{
+    Field("job", &ControlTickEvent::job), Field("elapsed", &ControlTickEvent::elapsed_seconds),
+    Field("progress", &ControlTickEvent::progress),
+    Field("prediction", &ControlTickEvent::predicted_remaining_seconds),
+    Field("utility", &ControlTickEvent::utility), Field("raw", &ControlTickEvent::raw_allocation),
+    Field("smoothed", &ControlTickEvent::smoothed_allocation),
+    Field("granted", &ControlTickEvent::granted_tokens),
+    Field("model_speed", &ControlTickEvent::model_speed)};
+
+template <>
+constexpr auto kPayloadFields<PredictionLookupEvent> = std::tuple{
+    Field("job", &PredictionLookupEvent::job), Field("progress", &PredictionLookupEvent::progress),
+    Field("allocation", &PredictionLookupEvent::allocation),
+    Field("prediction", &PredictionLookupEvent::predicted_remaining_seconds)};
+
+template <>
+constexpr auto kPayloadFields<AllocationChangeEvent> = std::tuple{
+    Field("job", &AllocationChangeEvent::job), Field("from", &AllocationChangeEvent::from_tokens),
+    Field("to", &AllocationChangeEvent::to_tokens)};
+
+template <>
+constexpr auto kPayloadFields<UtilityChangeEvent> = std::tuple{
+    Field("job", &UtilityChangeEvent::job), Field("elapsed", &UtilityChangeEvent::elapsed_seconds)};
+
+template <>
+constexpr auto kPayloadFields<TableCacheLookupEvent> = std::tuple{
+    HexField("key", &TableCacheLookupEvent::key), Field("code", &TableCacheLookupEvent::code),
+    Field("bytes", &TableCacheLookupEvent::bytes)};
+
+template <>
+constexpr auto kPayloadFields<TableCacheStoreEvent> = std::tuple{
+    HexField("key", &TableCacheStoreEvent::key), Field("code", &TableCacheStoreEvent::code),
+    Field("bytes", &TableCacheStoreEvent::bytes)};
+
+template <>
+constexpr auto kPayloadFields<TableCacheEvictEvent> = std::tuple{
+    HexField("key", &TableCacheEvictEvent::key), Field("bytes", &TableCacheEvictEvent::bytes)};
+
+template <>
+constexpr auto kPayloadFields<JobSubmitEvent> = std::tuple{
+    Field("job", &JobSubmitEvent::job), Field("tokens", &JobSubmitEvent::guaranteed_tokens)};
+
+template <>
+constexpr auto kPayloadFields<JobFinishEvent> = std::tuple{
+    Field("job", &JobFinishEvent::job), Field("completion", &JobFinishEvent::completion_seconds)};
+
+template <>
+constexpr auto kPayloadFields<TaskDispatchEvent> = std::tuple{
+    Field("job", &TaskDispatchEvent::job), Field("stage", &TaskDispatchEvent::stage),
+    Field("task", &TaskDispatchEvent::task), Field("machine", &TaskDispatchEvent::machine),
+    Field("spare", &TaskDispatchEvent::spare),
+    Field("speculative", &TaskDispatchEvent::speculative)};
+
+template <>
+constexpr auto kPayloadFields<TaskCompleteEvent> = std::tuple{
+    Field("job", &TaskCompleteEvent::job), Field("stage", &TaskCompleteEvent::stage),
+    Field("task", &TaskCompleteEvent::task), Field("spare", &TaskCompleteEvent::spare),
+    Field("speculative", &TaskCompleteEvent::speculative)};
+
+template <>
+constexpr auto kPayloadFields<TaskKilledEvent> = std::tuple{
+    Field("job", &TaskKilledEvent::job), Field("stage", &TaskKilledEvent::stage),
+    Field("task", &TaskKilledEvent::task), Field("reason", &TaskKilledEvent::reason),
+    Field("requeued", &TaskKilledEvent::requeued)};
+
+template <>
+constexpr auto kPayloadFields<SpeculativeLaunchEvent> = std::tuple{
+    Field("job", &SpeculativeLaunchEvent::job), Field("stage", &SpeculativeLaunchEvent::stage),
+    Field("task", &SpeculativeLaunchEvent::task)};
+
+template <>
+constexpr auto kPayloadFields<MachineFailureEvent> = std::tuple{
+    Field("machine", &MachineFailureEvent::machine),
+    Field("killed", &MachineFailureEvent::tasks_killed)};
+
+template <>
+constexpr auto kPayloadFields<MachineRecoverEvent> = std::tuple{
+    Field("machine", &MachineRecoverEvent::machine)};
+
+// "fault" rather than "kind": the line's "kind" field names the event.
+template <>
+constexpr auto kPayloadFields<FaultInjectedEvent> = std::tuple{
+    Field("fault", &FaultInjectedEvent::fault), Field("window", &FaultInjectedEvent::window),
+    Field("job", &FaultInjectedEvent::job), Field("magnitude", &FaultInjectedEvent::magnitude),
+    Field("detail", &FaultInjectedEvent::detail), Field("detail2", &FaultInjectedEvent::detail2)};
+
+template <>
+constexpr auto kPayloadFields<DegradedDecisionEvent> = std::tuple{
+    Field("job", &DegradedDecisionEvent::job), Field("mode", &DegradedDecisionEvent::mode),
+    Field("elapsed", &DegradedDecisionEvent::elapsed_seconds),
+    Field("report_age", &DegradedDecisionEvent::report_age_seconds),
+    Field("granted", &DegradedDecisionEvent::granted_tokens),
+    Field("value", &DegradedDecisionEvent::value)};
+
+template <>
+constexpr auto kPayloadFields<TaskReadyEvent> = std::tuple{
+    Field("job", &TaskReadyEvent::job), Field("stage", &TaskReadyEvent::stage),
+    Field("task", &TaskReadyEvent::task), Field("requeued", &TaskReadyEvent::requeued)};
+
+template <>
+constexpr auto kPayloadFields<SloStateChangeEvent> = std::tuple{
+    Field("job", &SloStateChangeEvent::job), Field("from", &SloStateChangeEvent::from),
+    Field("to", &SloStateChangeEvent::to), Field("elapsed", &SloStateChangeEvent::elapsed_seconds),
+    Field("slack", &SloStateChangeEvent::slack_seconds)};
+
+template <>
+constexpr auto kPayloadFields<ControlDecisionCachedEvent> = std::tuple{
+    Field("job", &ControlDecisionCachedEvent::job),
+    Field("elapsed", &ControlDecisionCachedEvent::elapsed_seconds),
+    Field("progress", &ControlDecisionCachedEvent::progress),
+    Field("raw", &ControlDecisionCachedEvent::raw_allocation),
+    HexField("signature", &ControlDecisionCachedEvent::signature)};
+
+// Builds payload alternative I in place and reads its table.
+template <size_t I>
+bool ReadAlternative(FlatJsonFields& in, TraceEventPayload& payload) {
+  using Payload = std::variant_alternative_t<I, TraceEventPayload>;
+  return ReadFields<kPayloadFields<Payload>>(in, payload.emplace<I>());
 }
 
-void AppendNum(std::string& out, std::string_view key, double value) {
-  AppendKey(out, key);
-  AppendJsonNumber(out, value);
+// One reader per kind, indexed by EventKind: the kind's values are the variant's
+// alternative indices (KindCoversAllVariantAlternatives pins this).
+constexpr auto kPayloadReaders = []<size_t... I>(std::index_sequence<I...>) {
+  return std::array{&ReadAlternative<I>...};
+}(std::make_index_sequence<std::variant_size_v<TraceEventPayload>>());
+
+// ParseTraceLine over caller-owned field storage, so a stream reader reuses it.
+bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEvent& event,
+                        TraceParseIssue* issue) {
+  auto fail = [issue](std::string_view field, std::string message) {
+    if (issue != nullptr) {
+      issue->field = field;
+      issue->message = std::move(message);
+    }
+    return false;
+  };
+  if (!ParseFlatJsonObject(line, fields)) {
+    return fail(fields.duplicate_key, fields.ParseError());
+  }
+  const std::string_view* t = fields.FindBare("t");
+  if (t == nullptr || !ParseJsonNumber(*t, event.time_seconds)) {
+    return fail("t", "missing or non-numeric timestamp");
+  }
+  const std::string_view* kind = fields.FindString("kind");
+  if (kind == nullptr) {
+    return fail("kind", "missing or unquoted kind");
+  }
+  std::optional<EventKind> kind_index = EnumFromName<EventKind>(*kind);
+  if (!kind_index.has_value()) {
+    return fail("kind", "unknown kind '" + std::string(*kind) + "'");
+  }
+  if (!kPayloadReaders[static_cast<size_t>(*kind_index)](fields, event.payload)) {
+    return fail(fields.rejected_key, "missing or malformed field");
+  }
+  if (const FlatJsonFields::Field* extra = fields.FirstUnread()) {
+    return fail(extra->key, "key not defined for kind '" + std::string(*kind) + "'");
+  }
+  return true;
 }
-
-void AppendInt(std::string& out, std::string_view key, int64_t value) {
-  AppendKey(out, key);
-  char buffer[24];
-  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
-}
-
-void AppendUint(std::string& out, std::string_view key, uint64_t value) {
-  AppendKey(out, key);
-  char buffer[24];
-  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
-}
-
-void AppendBool(std::string& out, std::string_view key, bool value) {
-  AppendKey(out, key);
-  out += value ? "true" : "false";
-}
-
-// Enumerator names are plain identifiers: nothing to escape.
-void AppendName(std::string& out, std::string_view key, const char* value) {
-  AppendKey(out, key);
-  out += '"';
-  out += value;
-  out += '"';
-}
-
-// 64-bit cache keys exceed the exactly-representable double range, so they travel
-// as fixed-width lowercase hex strings.
-void AppendHex(std::string& out, std::string_view key, uint64_t value) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  AppendKey(out, key);
-  char buffer[18];
-  buffer[0] = '"';
-  for (int i = 16; i >= 1; --i, value >>= 4) {
-    buffer[i] = kDigits[value & 0xf];
-  }
-  buffer[17] = '"';
-  out.append(buffer, sizeof(buffer));
-}
-
-struct LineWriter {
-  std::string* out;
-
-  void operator()(const ControlTickEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "elapsed", e.elapsed_seconds);
-    AppendNum(*out, "progress", e.progress);
-    AppendNum(*out, "prediction", e.predicted_remaining_seconds);
-    AppendNum(*out, "utility", e.utility);
-    AppendNum(*out, "raw", e.raw_allocation);
-    AppendNum(*out, "smoothed", e.smoothed_allocation);
-    AppendInt(*out, "granted", e.granted_tokens);
-    AppendNum(*out, "model_speed", e.model_speed);
-  }
-  void operator()(const PredictionLookupEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "progress", e.progress);
-    AppendNum(*out, "allocation", e.allocation);
-    AppendNum(*out, "prediction", e.predicted_remaining_seconds);
-  }
-  void operator()(const AllocationChangeEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "from", e.from_tokens);
-    AppendInt(*out, "to", e.to_tokens);
-  }
-  void operator()(const UtilityChangeEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "elapsed", e.elapsed_seconds);
-  }
-  void operator()(const TableCacheLookupEvent& e) const {
-    AppendHex(*out, "key", e.key);
-    AppendName(*out, "code", CacheCodeName(e.code));
-    AppendUint(*out, "bytes", e.bytes);
-  }
-  void operator()(const TableCacheStoreEvent& e) const {
-    AppendHex(*out, "key", e.key);
-    AppendName(*out, "code", CacheCodeName(e.code));
-    AppendUint(*out, "bytes", e.bytes);
-  }
-  void operator()(const TableCacheEvictEvent& e) const {
-    AppendHex(*out, "key", e.key);
-    AppendUint(*out, "bytes", e.bytes);
-  }
-  void operator()(const JobSubmitEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "tokens", e.guaranteed_tokens);
-  }
-  void operator()(const JobFinishEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "completion", e.completion_seconds);
-  }
-  void operator()(const TaskDispatchEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "stage", e.stage);
-    AppendInt(*out, "task", e.task);
-    AppendInt(*out, "machine", e.machine);
-    AppendBool(*out, "spare", e.spare);
-    AppendBool(*out, "speculative", e.speculative);
-  }
-  void operator()(const TaskCompleteEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "stage", e.stage);
-    AppendInt(*out, "task", e.task);
-    AppendBool(*out, "spare", e.spare);
-    AppendBool(*out, "speculative", e.speculative);
-  }
-  void operator()(const TaskKilledEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "stage", e.stage);
-    AppendInt(*out, "task", e.task);
-    AppendName(*out, "reason", KillReasonName(e.reason));
-    AppendBool(*out, "requeued", e.requeued);
-  }
-  void operator()(const SpeculativeLaunchEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "stage", e.stage);
-    AppendInt(*out, "task", e.task);
-  }
-  void operator()(const MachineFailureEvent& e) const {
-    AppendInt(*out, "machine", e.machine);
-    AppendInt(*out, "killed", e.tasks_killed);
-  }
-  void operator()(const MachineRecoverEvent& e) const { AppendInt(*out, "machine", e.machine); }
-  void operator()(const FaultInjectedEvent& e) const {
-    // "fault" rather than "kind": the line's "kind" field names the event.
-    AppendName(*out, "fault", FaultKindName(e.fault));
-    AppendInt(*out, "window", e.window);
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "magnitude", e.magnitude);
-    AppendNum(*out, "detail", e.detail);
-    AppendNum(*out, "detail2", e.detail2);
-  }
-  void operator()(const DegradedDecisionEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendName(*out, "mode", DegradeModeName(e.mode));
-    AppendNum(*out, "elapsed", e.elapsed_seconds);
-    AppendNum(*out, "report_age", e.report_age_seconds);
-    AppendInt(*out, "granted", e.granted_tokens);
-    AppendNum(*out, "value", e.value);
-  }
-  void operator()(const TaskReadyEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendInt(*out, "stage", e.stage);
-    AppendInt(*out, "task", e.task);
-    AppendBool(*out, "requeued", e.requeued);
-  }
-  void operator()(const SloStateChangeEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendName(*out, "from", SloStateName(e.from));
-    AppendName(*out, "to", SloStateName(e.to));
-    AppendNum(*out, "elapsed", e.elapsed_seconds);
-    AppendNum(*out, "slack", e.slack_seconds);
-  }
-  void operator()(const ControlDecisionCachedEvent& e) const {
-    AppendInt(*out, "job", e.job);
-    AppendNum(*out, "elapsed", e.elapsed_seconds);
-    AppendNum(*out, "progress", e.progress);
-    AppendInt(*out, "raw", e.raw_allocation);
-    AppendHex(*out, "signature", e.signature);
-  }
-};
 
 // --- Tokenizer: one pass over the line, values as views, no copies unless escaped. ---
 
@@ -274,249 +265,35 @@ class Tokenizer {
   std::string& unescaped_;
 };
 
-// --- Reader: typed field access over one tokenized trace line. ---
-
-// Reads typed fields and records the first one that was missing or malformed —
-// what strict mode reports. The && chains in the payload readers short-circuit, so
-// the first failing read is the one whose key lands here. The accessors are
-// defined out of line: twenty payload readers call them, and one copy each keeps
-// the reader compact.
-class FieldReader {
- public:
-  explicit FieldReader(const FlatJsonFields& fields) : fields_(fields) {}
-
-  const char* failed() const { return failed_; }
-
-  bool Num(const char* key, double& out);
-  bool Int(const char* key, int& out);
-  bool Uint(const char* key, uint64_t& out);
-  bool Bool(const char* key, bool& out);
-  // Exactly the 16 lowercase hex digits AppendHex emits.
-  bool Hex(const char* key, uint64_t& out);
-  // One of the enumerators 0..last, by name.
-  template <typename E>
-  bool Enum(const char* key, E& out, const char* (*name)(E), E last);
-
- private:
-  bool Miss(const char* key);
-
-  const FlatJsonFields& fields_;
-  const char* failed_ = nullptr;
-};
-
-bool FieldReader::Miss(const char* key) {
-  if (failed_ == nullptr) {
-    failed_ = key;
-  }
-  return false;
-}
-
-bool FieldReader::Num(const char* key, double& out) {
-  const std::string_view* v = fields_.FindBare(key);
-  return (v != nullptr && ParseJsonNumber(*v, out)) || Miss(key);
-}
-
-bool FieldReader::Int(const char* key, int& out) {
-  const std::string_view* v = fields_.FindBare(key);
-  return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
-}
-
-bool FieldReader::Uint(const char* key, uint64_t& out) {
-  const std::string_view* v = fields_.FindBare(key);
-  return (v != nullptr && ParseJsonInt(*v, out)) || Miss(key);
-}
-
-bool FieldReader::Bool(const char* key, bool& out) {
-  const std::string_view* v = fields_.FindBare(key);
-  if (v != nullptr && (*v == "true" || *v == "false")) {
-    out = *v == "true";
-    return true;
-  }
-  return Miss(key);
-}
-
-bool FieldReader::Hex(const char* key, uint64_t& out) {
-  const std::string_view* v = fields_.FindString(key);
-  if (v == nullptr || v->size() != 16) {
-    return Miss(key);
-  }
-  uint64_t value = 0;
-  for (char c : *v) {
-    int digit = c >= '0' && c <= '9' ? c - '0' : c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1;
-    if (digit < 0) {
-      return Miss(key);
-    }
-    value = value << 4 | static_cast<uint64_t>(digit);
-  }
-  out = value;
-  return true;
-}
-
-template <typename E>
-bool FieldReader::Enum(const char* key, E& out, const char* (*name)(E), E last) {
-  const std::string_view* v = fields_.FindString(key);
-  if (v != nullptr) {
-    for (int i = 0; i <= static_cast<int>(last); ++i) {
-      if (*v == name(static_cast<E>(i))) {
-        out = static_cast<E>(i);
-        return true;
-      }
-    }
-  }
-  return Miss(key);
-}
-
-bool Read(FieldReader& r, ControlTickEvent& e) {
-  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds) &&
-         r.Num("progress", e.progress) && r.Num("prediction", e.predicted_remaining_seconds) &&
-         r.Num("utility", e.utility) && r.Num("raw", e.raw_allocation) &&
-         r.Num("smoothed", e.smoothed_allocation) && r.Int("granted", e.granted_tokens) &&
-         r.Num("model_speed", e.model_speed);
-}
-bool Read(FieldReader& r, PredictionLookupEvent& e) {
-  return r.Int("job", e.job) && r.Num("progress", e.progress) &&
-         r.Num("allocation", e.allocation) && r.Num("prediction", e.predicted_remaining_seconds);
-}
-bool Read(FieldReader& r, AllocationChangeEvent& e) {
-  return r.Int("job", e.job) && r.Int("from", e.from_tokens) && r.Int("to", e.to_tokens);
-}
-bool Read(FieldReader& r, UtilityChangeEvent& e) {
-  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds);
-}
-bool Read(FieldReader& r, TableCacheLookupEvent& e) {
-  return r.Hex("key", e.key) && r.Enum("code", e.code, CacheCodeName, CacheCode::kDisabled) &&
-         r.Uint("bytes", e.bytes);
-}
-bool Read(FieldReader& r, TableCacheStoreEvent& e) {
-  return r.Hex("key", e.key) && r.Enum("code", e.code, CacheCodeName, CacheCode::kDisabled) &&
-         r.Uint("bytes", e.bytes);
-}
-bool Read(FieldReader& r, TableCacheEvictEvent& e) {
-  return r.Hex("key", e.key) && r.Uint("bytes", e.bytes);
-}
-bool Read(FieldReader& r, JobSubmitEvent& e) {
-  return r.Int("job", e.job) && r.Int("tokens", e.guaranteed_tokens);
-}
-bool Read(FieldReader& r, JobFinishEvent& e) {
-  return r.Int("job", e.job) && r.Num("completion", e.completion_seconds);
-}
-bool Read(FieldReader& r, TaskDispatchEvent& e) {
-  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
-         r.Int("machine", e.machine) && r.Bool("spare", e.spare) &&
-         r.Bool("speculative", e.speculative);
-}
-bool Read(FieldReader& r, TaskCompleteEvent& e) {
-  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
-         r.Bool("spare", e.spare) && r.Bool("speculative", e.speculative);
-}
-bool Read(FieldReader& r, TaskKilledEvent& e) {
-  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
-         r.Enum("reason", e.reason, KillReasonName, KillReason::kMachineFailure) &&
-         r.Bool("requeued", e.requeued);
-}
-bool Read(FieldReader& r, SpeculativeLaunchEvent& e) {
-  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task);
-}
-bool Read(FieldReader& r, MachineFailureEvent& e) {
-  return r.Int("machine", e.machine) && r.Int("killed", e.tasks_killed);
-}
-bool Read(FieldReader& r, MachineRecoverEvent& e) { return r.Int("machine", e.machine); }
-bool Read(FieldReader& r, FaultInjectedEvent& e) {
-  return r.Enum("fault", e.fault, FaultKindName, FaultKind::kAdversarialSpike) &&
-         r.Int("window", e.window) && r.Int("job", e.job) && r.Num("magnitude", e.magnitude) &&
-         r.Num("detail", e.detail) && r.Num("detail2", e.detail2);
-}
-bool Read(FieldReader& r, DegradedDecisionEvent& e) {
-  return r.Int("job", e.job) &&
-         r.Enum("mode", e.mode, DegradeModeName, DegradeMode::kStragglerEscalation) &&
-         r.Num("elapsed", e.elapsed_seconds) && r.Num("report_age", e.report_age_seconds) &&
-         r.Int("granted", e.granted_tokens) && r.Num("value", e.value);
-}
-bool Read(FieldReader& r, TaskReadyEvent& e) {
-  return r.Int("job", e.job) && r.Int("stage", e.stage) && r.Int("task", e.task) &&
-         r.Bool("requeued", e.requeued);
-}
-bool Read(FieldReader& r, SloStateChangeEvent& e) {
-  return r.Int("job", e.job) && r.Enum("from", e.from, SloStateName, SloState::kMissed) &&
-         r.Enum("to", e.to, SloStateName, SloState::kMissed) &&
-         r.Num("elapsed", e.elapsed_seconds) && r.Num("slack", e.slack_seconds);
-}
-bool Read(FieldReader& r, ControlDecisionCachedEvent& e) {
-  return r.Int("job", e.job) && r.Num("elapsed", e.elapsed_seconds) &&
-         r.Num("progress", e.progress) && r.Int("raw", e.raw_allocation) &&
-         r.Hex("signature", e.signature);
-}
-
-using PayloadReader = bool (*)(FieldReader&, TraceEventPayload&);
-
-// Builds payload alternative I in place and reads its fields.
-template <size_t I>
-bool ReadAlternative(FieldReader& r, TraceEventPayload& payload) {
-  return Read(r, payload.emplace<I>());
-}
-
-// The kind dispatch table: event-kind name -> payload reader. EventKind's values are
-// the variant's alternative indices (KindCoversAllVariantAlternatives pins this).
-const std::unordered_map<std::string_view, PayloadReader>& PayloadReaders() {
-  static const std::unordered_map<std::string_view, PayloadReader> readers =
-      []<size_t... I>(std::index_sequence<I...>) {
-        return std::unordered_map<std::string_view, PayloadReader>{
-            {EventKindName(static_cast<EventKind>(I)), &ReadAlternative<I>}...};
-      }(std::make_index_sequence<std::variant_size_v<TraceEventPayload>>());
-  return readers;
-}
-
-// ParseTraceLine over caller-owned field storage, so a stream reader reuses it.
-bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEvent& event,
-                        TraceParseIssue* issue) {
-  auto fail = [issue](std::string_view field, std::string message) {
-    if (issue != nullptr) {
-      issue->field = field;
-      issue->message = std::move(message);
-    }
-    return false;
-  };
-  if (!ParseFlatJsonObject(line, fields)) {
-    return fail(fields.duplicate_key, fields.ParseError());
-  }
-  const std::string_view* t = fields.FindBare("t");
-  if (t == nullptr || !ParseJsonNumber(*t, event.time_seconds)) {
-    return fail("t", "missing or non-numeric timestamp");
-  }
-  const std::string_view* kind = fields.FindString("kind");
-  if (kind == nullptr) {
-    return fail("kind", "missing or unquoted kind");
-  }
-  auto reader = PayloadReaders().find(*kind);
-  if (reader == PayloadReaders().end()) {
-    return fail("kind", "unknown kind '" + std::string(*kind) + "'");
-  }
-  FieldReader r(fields);
-  if (!reader->second(r, event.payload)) {
-    return fail(r.failed(), "missing or malformed field");
-  }
-  return true;
-}
-
 }  // namespace
 
-const FlatJsonFields::Field* FlatJsonFields::Find(std::string_view key) const {
-  for (const Field& field : fields) {
+FlatJsonFields::Field* FlatJsonFields::Find(std::string_view key) {
+  for (Field& field : fields) {
     if (field.key == key) {
+      field.read = true;
       return &field;
     }
   }
   return nullptr;
 }
 
-const std::string_view* FlatJsonFields::FindBare(std::string_view key) const {
+const std::string_view* FlatJsonFields::FindBare(std::string_view key) {
   const Field* field = Find(key);
   return field != nullptr && !field->quoted ? &field->value : nullptr;
 }
 
-const std::string_view* FlatJsonFields::FindString(std::string_view key) const {
+const std::string_view* FlatJsonFields::FindString(std::string_view key) {
   const Field* field = Find(key);
   return field != nullptr && field->quoted ? &field->value : nullptr;
+}
+
+const FlatJsonFields::Field* FlatJsonFields::FirstUnread() const {
+  for (const Field& field : fields) {
+    if (!field.read) {
+      return &field;
+    }
+  }
+  return nullptr;
 }
 
 std::string FlatJsonFields::ParseError() const {
@@ -572,9 +349,13 @@ void AppendJsonLine(std::string& out, const TraceEvent& event) {
   out += "{\"t\":";
   AppendJsonNumber(out, event.time_seconds);
   out += ",\"kind\":\"";
-  out += EventKindName(event.kind());
+  out += EnumName(event.kind());
   out += '"';
-  std::visit(LineWriter{&out}, event.payload);
+  std::visit(
+      [&out](const auto& payload) {
+        AppendFields<kPayloadFields<std::decay_t<decltype(payload)>>>(out, payload);
+      },
+      event.payload);
   out += '}';
 }
 

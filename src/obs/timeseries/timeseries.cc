@@ -191,91 +191,67 @@ TimeSeries TimeSeriesRecorder::Snapshot() const {
 
 // --- JSONL interchange ---
 
-void WriteTimeSeriesJsonl(std::ostream& os, const TimeSeries& series) {
-  for (const RunTimeline& run : series.runs) {
-    // Run header carries the sampling period and the ring-drop counters: a
-    // reader can tell a short series from a truncated one.
-    double first_deadline = run.jobs.empty() ? -1.0 : run.jobs.front().deadline_seconds;
-    os << "{\"t\":0,\"kind\":\"ts_run\",\"run\":" << run.run
-       << ",\"period\":" << JsonNumber(series.sample_period_seconds)
-       << ",\"deadline\":" << JsonNumber(first_deadline)
-       << ",\"cluster_dropped\":" << run.dropped_cluster_samples << "}\n";
-    for (const ClusterSample& s : run.cluster) {
-      os << "{\"t\":" << JsonNumber(s.t) << ",\"kind\":\"ts_cluster\",\"run\":" << run.run
-         << ",\"utilization\":" << JsonNumber(s.utilization) << ",\"up\":" << s.up_slots
-         << ",\"background\":" << s.background_slots << ",\"spare\":" << s.spare_tokens
-         << "}\n";
-    }
-    for (const JobTimeline& job : run.jobs) {
-      for (const JobSample& s : job.samples) {
-        os << "{\"t\":" << JsonNumber(s.t) << ",\"kind\":\"ts_job\",\"run\":" << run.run
-           << ",\"job\":" << job.job << ",\"elapsed\":" << JsonNumber(s.elapsed_seconds)
-           << ",\"progress\":" << JsonNumber(s.progress)
-           << ",\"allocated\":" << s.allocated_tokens
-           << ",\"predicted\":" << JsonNumber(s.predicted_remaining_seconds)
-           << ",\"slack\":" << JsonNumber(s.slack_seconds) << "}\n";
-      }
-      for (const SloTransition& tr : job.transitions) {
-        os << "{\"t\":" << JsonNumber(tr.t) << ",\"kind\":\"ts_slo\",\"run\":" << run.run
-           << ",\"job\":" << job.job << ",\"from\":\"" << SloStateName(tr.from)
-           << "\",\"to\":\"" << SloStateName(tr.to)
-           << "\",\"elapsed\":" << JsonNumber(tr.elapsed_seconds)
-           << ",\"slack\":" << JsonNumber(tr.slack_seconds) << "}\n";
-      }
-      os << "{\"t\":" << JsonNumber(job.finished ? job.completion_seconds : 0.0)
-         << ",\"kind\":\"ts_job_end\",\"run\":" << run.run << ",\"job\":" << job.job
-         << ",\"deadline\":" << JsonNumber(job.deadline_seconds)
-         << ",\"finished\":" << (job.finished ? "true" : "false")
-         << ",\"completion\":" << JsonNumber(job.completion_seconds) << ",\"final\":\""
-         << SloStateName(job.final_state) << "\",\"dropped\":" << job.dropped_samples
-         << "}\n";
-    }
-  }
-}
-
 namespace {
 
-struct LineCtx {
-  const FlatJsonFields& fields;
-  std::string error;  // first missing/malformed field
-
-  bool Num(const char* key, double& out) {
-    const std::string_view* v = fields.FindBare(key);
-    return (v != nullptr && ParseJsonNumber(*v, out)) || Fail(key);
-  }
-  template <typename T>
-  bool Int(const char* key, T& out) {
-    const std::string_view* v = fields.FindBare(key);
-    return (v != nullptr && ParseJsonInt(*v, out)) || Fail(key);
-  }
-  bool Bool(const char* key, bool& out) {
-    const std::string_view* v = fields.FindBare(key);
-    if (v == nullptr || (*v != "true" && *v != "false")) {
-      return Fail(key);
-    }
-    out = (*v == "true");
-    return true;
-  }
-  bool State(const char* key, SloState& out) {
-    const std::string_view* v = fields.FindString(key);
-    if (v == nullptr) {
-      return Fail(key);
-    }
-    for (int s = 0; s <= static_cast<int>(SloState::kMissed); ++s) {
-      if (*v == SloStateName(static_cast<SloState>(s))) {
-        out = static_cast<SloState>(s);
-        return true;
-      }
-    }
-    return Fail(key);
-  }
-  bool Fail(const char* key) {
-    if (error.empty()) {
-      error = std::string("missing or malformed field '") + key + "'";
-    }
-    return false;
-  }
+// Every line opens {"t":<time>,"kind":"<kind>", then the run it belongs to and, on
+// the per-job kinds, the job; the record's own fields follow.
+struct LineKey {
+  int run = 0;
+  int job = 0;
 };
+constexpr std::tuple kRunKey{Field("run", &LineKey::run)};
+constexpr std::tuple kJobKey{Field("run", &LineKey::run), Field("job", &LineKey::job)};
+
+// The run header carries the sampling period and the ring-drop counters, so a
+// reader can tell a short series from a truncated one. Its "t" is always 0, and
+// `deadline` (the first job's) is informational: readers check but do not keep it.
+struct RunHeader {
+  int run = 0;
+  double period = 0.0;
+  double deadline = -1.0;
+  int64_t cluster_dropped = 0;
+};
+constexpr std::tuple kRunFields{
+    Field("run", &RunHeader::run), Field("period", &RunHeader::period),
+    Field("deadline", &RunHeader::deadline),
+    Field("cluster_dropped", &RunHeader::cluster_dropped)};
+
+constexpr std::tuple kClusterFields{
+    Field("utilization", &ClusterSample::utilization), Field("up", &ClusterSample::up_slots),
+    Field("background", &ClusterSample::background_slots),
+    Field("spare", &ClusterSample::spare_tokens)};
+
+constexpr std::tuple kJobFields{
+    Field("elapsed", &JobSample::elapsed_seconds), Field("progress", &JobSample::progress),
+    Field("allocated", &JobSample::allocated_tokens),
+    Field("predicted", &JobSample::predicted_remaining_seconds),
+    Field("slack", &JobSample::slack_seconds)};
+
+constexpr std::tuple kSloFields{
+    Field("from", &SloTransition::from), Field("to", &SloTransition::to),
+    Field("elapsed", &SloTransition::elapsed_seconds),
+    Field("slack", &SloTransition::slack_seconds)};
+
+// A job's last line; its "t" is the completion time, or 0 when unfinished.
+constexpr std::tuple kJobEndFields{
+    Field("deadline", &JobTimeline::deadline_seconds), Field("finished", &JobTimeline::finished),
+    Field("completion", &JobTimeline::completion_seconds),
+    Field("final", &JobTimeline::final_state), Field("dropped", &JobTimeline::dropped_samples)};
+
+// Opens a line with its "t" and "kind"; the caller appends the tables, then EndLine.
+void OpenLine(std::string& line, double t, std::string_view kind) {
+  line.clear();
+  line += "{\"t\":";
+  AppendJsonNumber(line, t);
+  line += ",\"kind\":\"";
+  line += kind;
+  line += '"';
+}
+
+void EndLine(std::ostream& os, std::string& line) {
+  line += "}\n";
+  os.write(line.data(), static_cast<std::streamsize>(line.size()));
+}
 
 JobTimeline& JobIn(RunTimeline& run, int job) {
   for (JobTimeline& existing : run.jobs) {
@@ -290,6 +266,44 @@ JobTimeline& JobIn(RunTimeline& run, int job) {
 
 }  // namespace
 
+void WriteTimeSeriesJsonl(std::ostream& os, const TimeSeries& series) {
+  std::string line;
+  for (const RunTimeline& run : series.runs) {
+    const RunHeader header{run.run, series.sample_period_seconds,
+                           run.jobs.empty() ? -1.0 : run.jobs.front().deadline_seconds,
+                           run.dropped_cluster_samples};
+    OpenLine(line, 0.0, "ts_run");
+    AppendFields<kRunFields>(line, header);
+    EndLine(os, line);
+    const LineKey run_key{run.run};
+    for (const ClusterSample& s : run.cluster) {
+      OpenLine(line, s.t, "ts_cluster");
+      AppendFields<kRunKey>(line, run_key);
+      AppendFields<kClusterFields>(line, s);
+      EndLine(os, line);
+    }
+    for (const JobTimeline& job : run.jobs) {
+      const LineKey key{run.run, job.job};
+      for (const JobSample& s : job.samples) {
+        OpenLine(line, s.t, "ts_job");
+        AppendFields<kJobKey>(line, key);
+        AppendFields<kJobFields>(line, s);
+        EndLine(os, line);
+      }
+      for (const SloTransition& tr : job.transitions) {
+        OpenLine(line, tr.t, "ts_slo");
+        AppendFields<kJobKey>(line, key);
+        AppendFields<kSloFields>(line, tr);
+        EndLine(os, line);
+      }
+      OpenLine(line, job.finished ? job.completion_seconds : 0.0, "ts_job_end");
+      AppendFields<kJobKey>(line, key);
+      AppendFields<kJobEndFields>(line, job);
+      EndLine(os, line);
+    }
+  }
+}
+
 TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
   TimeSeriesReadResult result;
   TimeSeries series;
@@ -300,6 +314,9 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
     result.line = line_number;
     result.message = message;
     return result;
+  };
+  auto malformed = [](std::string_view key) {
+    return "missing or malformed field '" + std::string(key) + "'";
   };
   while (std::getline(is, line)) {
     ++line_number;
@@ -313,80 +330,62 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
     if (kind == nullptr) {
       return fail("missing or unquoted kind");
     }
-    LineCtx ctx{fields, {}};
     double t = 0.0;
-    if (!ctx.Num("t", t)) {
-      return fail(ctx.error);
+    const std::string_view* t_text = fields.FindBare("t");
+    if (t_text == nullptr || !ParseJsonNumber(*t_text, t)) {
+      return fail(malformed("t"));
     }
+    bool ok = true;
     if (*kind == "ts_run") {
-      RunTimeline run;
-      double period = 0.0;
-      double deadline = 0.0;
-      if (!ctx.Int("run", run.run) || !ctx.Num("period", period) ||
-          !ctx.Num("deadline", deadline) ||
-          !ctx.Int("cluster_dropped", run.dropped_cluster_samples)) {
-        return fail(ctx.error);
-      }
-      if (run.run != static_cast<int>(series.runs.size())) {
+      RunHeader header;
+      ok = ReadFields<kRunFields>(fields, header);
+      if (ok && header.run != static_cast<int>(series.runs.size())) {
         return fail("out-of-order run index");
       }
       if (series.runs.empty()) {
-        series.sample_period_seconds = period;
+        series.sample_period_seconds = header.period;
       }
-      series.runs.push_back(std::move(run));
-      continue;
-    }
-    int run_index = 0;
-    if (!ctx.Int("run", run_index)) {
-      return fail(ctx.error);
-    }
-    if (run_index < 0 || run_index >= static_cast<int>(series.runs.size())) {
-      return fail("sample references a run with no ts_run header");
-    }
-    RunTimeline& run = series.runs[static_cast<size_t>(run_index)];
-    if (*kind == "ts_cluster") {
-      ClusterSample s;
-      s.t = t;
-      if (!ctx.Num("utilization", s.utilization) || !ctx.Int("up", s.up_slots) ||
-          !ctx.Int("background", s.background_slots) || !ctx.Int("spare", s.spare_tokens)) {
-        return fail(ctx.error);
-      }
-      run.cluster.push_back(s);
-    } else if (*kind == "ts_job") {
-      int job = 0;
-      JobSample s;
-      s.t = t;
-      if (!ctx.Int("job", job) || !ctx.Num("elapsed", s.elapsed_seconds) ||
-          !ctx.Num("progress", s.progress) || !ctx.Int("allocated", s.allocated_tokens) ||
-          !ctx.Num("predicted", s.predicted_remaining_seconds) ||
-          !ctx.Num("slack", s.slack_seconds)) {
-        return fail(ctx.error);
-      }
-      JobIn(run, job).samples.push_back(s);
-    } else if (*kind == "ts_slo") {
-      int job = 0;
-      SloTransition tr;
-      tr.t = t;
-      if (!ctx.Int("job", job) || !ctx.State("from", tr.from) || !ctx.State("to", tr.to) ||
-          !ctx.Num("elapsed", tr.elapsed_seconds) || !ctx.Num("slack", tr.slack_seconds)) {
-        return fail(ctx.error);
-      }
-      JobIn(run, job).transitions.push_back(tr);
-    } else if (*kind == "ts_job_end") {
-      int job = 0;
-      if (!ctx.Int("job", job)) {
-        return fail(ctx.error);
-      }
-      JobTimeline& timeline = JobIn(run, job);
-      if (!ctx.Num("deadline", timeline.deadline_seconds) ||
-          !ctx.Bool("finished", timeline.finished) ||
-          !ctx.Num("completion", timeline.completion_seconds) ||
-          !ctx.State("final", timeline.final_state) ||
-          !ctx.Int("dropped", timeline.dropped_samples)) {
-        return fail(ctx.error);
-      }
-    } else {
+      RunTimeline& run = series.runs.emplace_back();
+      run.run = header.run;
+      run.dropped_cluster_samples = header.cluster_dropped;
+    } else if (*kind != "ts_cluster" && *kind != "ts_job" && *kind != "ts_slo" &&
+               *kind != "ts_job_end") {
       return fail("unknown kind '" + std::string(*kind) + "'");
+    } else {
+      LineKey key;
+      if (!(*kind == "ts_cluster" ? ReadFields<kRunKey>(fields, key)
+                                  : ReadFields<kJobKey>(fields, key))) {
+        return fail(malformed(fields.rejected_key));
+      }
+      if (key.run < 0 || key.run >= static_cast<int>(series.runs.size())) {
+        return fail("sample references a run with no ts_run header");
+      }
+      RunTimeline& run = series.runs[static_cast<size_t>(key.run)];
+      if (*kind == "ts_cluster") {
+        ClusterSample s;
+        s.t = t;
+        ok = ReadFields<kClusterFields>(fields, s);
+        run.cluster.push_back(s);
+      } else if (*kind == "ts_job") {
+        JobSample s;
+        s.t = t;
+        ok = ReadFields<kJobFields>(fields, s);
+        JobIn(run, key.job).samples.push_back(s);
+      } else if (*kind == "ts_slo") {
+        SloTransition tr;
+        tr.t = t;
+        ok = ReadFields<kSloFields>(fields, tr);
+        JobIn(run, key.job).transitions.push_back(tr);
+      } else {
+        ok = ReadFields<kJobEndFields>(fields, JobIn(run, key.job));
+      }
+    }
+    if (!ok) {
+      return fail(malformed(fields.rejected_key));
+    }
+    if (const FlatJsonFields::Field* extra = fields.FirstUnread()) {
+      return fail("key '" + std::string(extra->key) + "' not defined for kind '" +
+                  std::string(*kind) + "'");
     }
   }
   result.series = std::move(series);

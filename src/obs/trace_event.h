@@ -15,19 +15,46 @@
 //    and across precompute thread counts.
 //  * Emission sites are single-threaded by construction (the discrete-event loops
 //    and the offline build's merge phase); worker threads never emit.
-//  * Adding a kind means: payload struct here, entry in EventKindName, a writer and
-//    a parser clause in jsonl.cc. The compiler enforces the rest via std::variant.
+//  * Adding a kind means: payload struct here, its name in kEventKindNames, and its
+//    field table in jsonl.cc's kPayloadFields, which drives both the JSONL writer and
+//    the strict reader. static_asserts tie the names and the tables to the variant.
+//  * Every enum on the wire has one array of names, indexed by enumerator. Its
+//    *Name() function, the readers' lookups and ParseFaultKind all read that array.
 
 #ifndef SRC_OBS_TRACE_EVENT_H_
 #define SRC_OBS_TRACE_EVENT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
 namespace jockey {
+
+// The wire name of `value`, read from the array its enum's WireNames() overload
+// returns; "unknown" for a value outside the enumerators. The names are literals,
+// so `.data()` is a NUL-terminated C string.
+template <typename E>
+std::string_view EnumName(E value) {
+  const auto& names = WireNames(value);
+  const auto index = static_cast<size_t>(value);
+  return index < std::size(names) ? names[index] : "unknown";
+}
+
+// Inverse of EnumName; nullopt for a token that names no enumerator.
+template <typename E>
+std::optional<E> EnumFromName(std::string_view name) {
+  const auto& names = WireNames(E{});
+  for (size_t i = 0; i < std::size(names); ++i) {
+    if (names[i] == name) {
+      return static_cast<E>(i);
+    }
+  }
+  return std::nullopt;
+}
 
 // One control-loop decision (Section 4.3): everything Fig 6 plots per tick, plus
 // the moderation state needed to explain why granted != raw.
@@ -79,7 +106,11 @@ enum class CacheCode : int {
   kDisabled = 5,  // cache not configured; nothing consulted
 };
 
-const char* CacheCodeName(CacheCode code);
+inline constexpr std::string_view kCacheCodeNames[] = {
+    "hit", "miss", "corrupt", "io_error", "stored", "disabled"};
+static_assert(std::size(kCacheCodeNames) == static_cast<size_t>(CacheCode::kDisabled) + 1);
+constexpr const auto& WireNames(CacheCode) { return kCacheCodeNames; }
+inline const char* CacheCodeName(CacheCode code) { return EnumName(code).data(); }
 
 struct TableCacheLookupEvent {
   uint64_t key = 0;
@@ -134,7 +165,11 @@ enum class KillReason : int {
   kMachineFailure = 2,  // the machine hosting it went down
 };
 
-const char* KillReasonName(KillReason reason);
+inline constexpr std::string_view kKillReasonNames[] = {
+    "spare_eviction", "task_failure", "machine_failure"};
+static_assert(std::size(kKillReasonNames) == static_cast<size_t>(KillReason::kMachineFailure) + 1);
+constexpr const auto& WireNames(KillReason) { return kKillReasonNames; }
+inline const char* KillReasonName(KillReason reason) { return EnumName(reason).data(); }
 
 struct TaskKilledEvent {
   int job = 0;
@@ -179,10 +214,17 @@ enum class FaultKind : int {
   kAdversarialSpike = 9,  // background spikes phase-locked to the control period
 };
 
-const char* FaultKindName(FaultKind kind);
+inline constexpr std::string_view kFaultKindNames[] = {
+    "report_dropout", "report_stale", "report_noise", "control_blackout", "grant_shortfall",
+    "table_fault", "machine_burst", "machine_slowdown", "profile_skew", "adversarial_spike"};
+static_assert(std::size(kFaultKindNames) == static_cast<size_t>(FaultKind::kAdversarialSpike) + 1);
+constexpr const auto& WireNames(FaultKind) { return kFaultKindNames; }
+inline const char* FaultKindName(FaultKind kind) { return EnumName(kind).data(); }
 // Inverse of FaultKindName — fault-plan JSONL, scenario files and the chaos CLI all
 // resolve names through this one function. Returns nullopt for unknown tokens.
-std::optional<FaultKind> ParseFaultKind(const std::string& token);
+inline std::optional<FaultKind> ParseFaultKind(std::string_view token) {
+  return EnumFromName<FaultKind>(token);
+}
 
 // Which degraded-mode action the hardened controller took (control_loop.h).
 enum class DegradeMode : int {
@@ -195,7 +237,13 @@ enum class DegradeMode : int {
   kStragglerEscalation = 6,    // realized progress rate lags the model's: escalate
 };
 
-const char* DegradeModeName(DegradeMode mode);
+inline constexpr std::string_view kDegradeModeNames[] = {
+    "stale_hold", "pessimistic_escalation", "blackout_catchup", "grant_compensation",
+    "fallback_model", "model_loss_escalation", "straggler_escalation"};
+static_assert(std::size(kDegradeModeNames) ==
+              static_cast<size_t>(DegradeMode::kStragglerEscalation) + 1);
+constexpr const auto& WireNames(DegradeMode) { return kDegradeModeNames; }
+inline const char* DegradeModeName(DegradeMode mode) { return EnumName(mode).data(); }
 
 // An injected fault took effect. Emitted by the injection site (simulator or table
 // cache), not by the plan — only faults that actually bit appear in the trace.
@@ -242,7 +290,10 @@ enum class SloState : int {
   kMissed = 2,   // deadline passed before completion — terminal
 };
 
-const char* SloStateName(SloState state);
+inline constexpr std::string_view kSloStateNames[] = {"on_track", "at_risk", "missed"};
+static_assert(std::size(kSloStateNames) == static_cast<size_t>(SloState::kMissed) + 1);
+constexpr const auto& WireNames(SloState) { return kSloStateNames; }
+inline const char* SloStateName(SloState state) { return EnumName(state).data(); }
 
 // The per-job SLO health state machine changed state. Emitted by the
 // TimeSeriesRecorder so postmortems can join live health against realized
@@ -305,7 +356,17 @@ enum class EventKind : int {
 };
 
 // The stable wire name of each kind (the "kind" field of a JSONL line).
-const char* EventKindName(EventKind kind);
+inline constexpr std::string_view kEventKindNames[] = {
+    "control_tick", "prediction_lookup", "allocation_change", "utility_change",
+    "table_cache_lookup", "table_cache_store", "table_cache_evict", "job_submit", "job_finish",
+    "task_dispatch", "task_complete", "task_killed", "speculative_launch", "machine_failure",
+    "machine_recover", "fault_injected", "degraded_decision", "task_ready", "slo_state_change",
+    "control_decision_cached"};
+static_assert(std::size(kEventKindNames) ==
+              static_cast<size_t>(EventKind::kControlDecisionCached) + 1);
+static_assert(std::size(kEventKindNames) == std::variant_size_v<TraceEventPayload>);
+constexpr const auto& WireNames(EventKind) { return kEventKindNames; }
+inline const char* EventKindName(EventKind kind) { return EnumName(kind).data(); }
 
 struct TraceEvent {
   // Simulated seconds (0 for offline events: cache traffic during a table build).

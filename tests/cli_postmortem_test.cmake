@@ -1,7 +1,8 @@
 # Drives `jockey_cli postmortem` end to end: a seeded traced run (plain and under a
 # fault plan) must yield byte-identical postmortem output — table and JSON — on
 # every rerun, the --deadline verdict must render, and --strict must reject a
-# malformed trace with the offending line number.
+# malformed trace, or one with a key its kind does not define, with the offending
+# line number.
 set(TRACE ${CMAKE_CURRENT_BINARY_DIR}/cli_pm.trace)
 set(CACHE_DIR ${CMAKE_CURRENT_BINARY_DIR}/cli_pm_cache)
 set(JSONL ${CMAKE_CURRENT_BINARY_DIR}/cli_pm_events.jsonl)
@@ -87,5 +88,16 @@ if(rc EQUAL 0)
 endif()
 if(NOT strict_err MATCHES ":2:")
   message(FATAL_ERROR "--strict did not report the malformed line number:\n${strict_err}")
+endif()
+# A key the kind does not define is malformed too: whatever --strict accepts
+# re-writes to its own bytes.
+file(WRITE ${BROKEN} "{\"t\":1,\"kind\":\"job_submit\",\"job\":0,\"tokens\":5}\n{\"t\":2,\"kind\":\"machine_recover\",\"machine\":7,\"extra\":1}\n")
+execute_process(COMMAND ${CLI} postmortem ${BROKEN} --strict
+                RESULT_VARIABLE rc ERROR_VARIABLE strict_err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "--strict accepted a line with an undefined key")
+endif()
+if(NOT strict_err MATCHES ":2:.*extra")
+  message(FATAL_ERROR "--strict did not name the line and the undefined key:\n${strict_err}")
 endif()
 file(REMOVE_RECURSE ${CACHE_DIR})

@@ -213,6 +213,8 @@ TEST(FaultPlanTest, LoadRejectsMalformedPresentFields) {
       {"{\"kind\":\"control_blackout\",\"start\":\"60\",\"end\":120}\n", "start/end"},
       {"{\"kind\":\"fault_plan\",\"seed\":\"7\"}\n", "bad plan seed"},
       {"{\"kind\":control_blackout,\"start\":60,\"end\":120}\n", "\"kind\""},
+      // A key no window defines: a typo never silently becomes the default.
+      {"{\"kind\":\"report_dropout\",\"start\":60,\"end\":120,\"jbo\":3}\n", "\"jbo\""},
   };
   for (const Case& c : cases) {
     std::istringstream in(c.text);

@@ -273,6 +273,10 @@ TEST(TimeSeriesJsonlTest, ReaderRejectsNonCanonicalNumbers) {
       {"{\"t\":60,\"kind\":ts_cluster,\"run\":0,\"utilization\":1,\"up\":1,"
        "\"background\":1,\"spare\":1}",
        "kind"},
+      // A key the kind does not define.
+      {"{\"t\":0,\"kind\":\"ts_run\",\"run\":1,\"period\":60,\"deadline\":-1,"
+       "\"cluster_dropped\":0,\"extra\":1}",
+       "'extra'"},
   };
   for (const Case& c : cases) {
     std::istringstream in(header + c.line + "\n");

@@ -115,6 +115,39 @@ TEST(TraceJsonlTest, EveryCacheCodeKillReasonAndSloStateRoundTrips) {
   }
 }
 
+// The strict reader accepts exactly the keys a kind's table lists. For every kind,
+// an appended key the kind does not define is rejected, and so is the line without
+// each of its keys in turn; the parse issue names the offending key either way.
+TEST(TraceJsonlTest, EveryKindRejectsUndefinedAndMissingKeys) {
+  for (const TraceEvent& event : AllKindsSample()) {
+    const std::string line = ToJsonLine(event);
+    TraceParseIssue issue;
+    const std::string extra = line.substr(0, line.size() - 1) + ",\"extra\":1}";
+    EXPECT_FALSE(ParseTraceLine(extra, &issue).has_value()) << extra;
+    EXPECT_EQ(issue.field, "extra") << extra;
+    EXPECT_NE(issue.message.find(EventKindName(event.kind())), std::string::npos)
+        << issue.message;
+
+    FlatJsonFields fields;
+    ASSERT_TRUE(ParseFlatJsonObject(line, fields)) << line;
+    for (size_t drop = 0; drop < fields.fields.size(); ++drop) {
+      std::string dropped = "{";
+      for (size_t i = 0; i < fields.fields.size(); ++i) {
+        const FlatJsonFields::Field& field = fields.fields[i];
+        if (i == drop) {
+          continue;
+        }
+        dropped += dropped.size() > 1 ? ",\"" : "\"";
+        dropped += std::string(field.key) + "\":";
+        dropped += field.quoted ? "\"" + std::string(field.value) + "\"" : std::string(field.value);
+      }
+      dropped += '}';
+      EXPECT_FALSE(ParseTraceLine(dropped, &issue).has_value()) << dropped;
+      EXPECT_EQ(issue.field, fields.fields[drop].key) << dropped;
+    }
+  }
+}
+
 TEST(TraceJsonlTest, KindCoversAllVariantAlternatives) {
   std::vector<TraceEvent> events = AllKindsSample();
   // The sample must keep up with the payload variant: a new alternative without a
