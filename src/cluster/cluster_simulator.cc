@@ -351,7 +351,7 @@ void ClusterSimulator::ControlTick(int job_id) {
   JobRuntimeStatus status;
   status.now = eq_.now();
   status.elapsed_seconds = eq_.now() - job.opts.submit_time;
-  status.frac_complete = job.dag->FracCompleteAll();
+  job.dag->FracCompleteInto(status.frac_complete);
   status.guaranteed_tokens = job.guaranteed_tokens;
   status.running_tasks = job.running_guaranteed() + job.running_spare();
   status.pending_tasks = static_cast<int>(job.pending.size() - job.pending_head);

@@ -1,6 +1,7 @@
 #include "src/dag/dependency_tracker.h"
 
 #include <cassert>
+#include <utility>
 
 namespace jockey {
 
@@ -19,10 +20,12 @@ DependencyTracker::DependencyTracker(const JobGraph& graph) : graph_(&graph) {
       stage_of_[static_cast<size_t>(task_base_[static_cast<size_t>(s)] + i)] = s;
     }
   }
-  one_to_one_consumers_.resize(static_cast<size_t>(total_tasks_));
   barrier_consumers_.resize(static_cast<size_t>(s_count));
   initial_wait_count_.assign(static_cast<size_t>(total_tasks_), 0);
 
+  // (producer, consumer) one-to-one wake-ups in discovery order; the stable
+  // bucketing below keeps that order within each producer's consumer list.
+  std::vector<std::pair<int, int>> wakeups;
   for (int c = 0; c < s_count; ++c) {
     const StageSpec& consumer = graph.stage(c);
     for (const StageEdge& edge : consumer.inputs) {
@@ -35,12 +38,29 @@ DependencyTracker::DependencyTracker(const JobGraph& graph) : graph_(&graph) {
         for (int i = 0; i < consumer.num_tasks; ++i) {
           int consumer_task = FlatId(c, i);
           for (int p : graph.InputTasksFor(c, i, edge)) {
-            one_to_one_consumers_[static_cast<size_t>(FlatId(edge.from, p))].push_back(
-                consumer_task);
+            wakeups.emplace_back(FlatId(edge.from, p), consumer_task);
             ++initial_wait_count_[static_cast<size_t>(consumer_task)];
           }
         }
       }
+    }
+  }
+  one_to_one_offsets_.assign(static_cast<size_t>(total_tasks_) + 1, 0);
+  for (const auto& [producer, consumer] : wakeups) {
+    ++one_to_one_offsets_[static_cast<size_t>(producer) + 1];
+  }
+  for (size_t t = 0; t < static_cast<size_t>(total_tasks_); ++t) {
+    one_to_one_offsets_[t + 1] += one_to_one_offsets_[t];
+  }
+  one_to_one_consumers_.resize(wakeups.size());
+  std::vector<int> cursor(one_to_one_offsets_.begin(), one_to_one_offsets_.end() - 1);
+  for (const auto& [producer, consumer] : wakeups) {
+    one_to_one_consumers_[static_cast<size_t>(cursor[static_cast<size_t>(producer)]++)] =
+        consumer;
+  }
+  for (int t = 0; t < total_tasks_; ++t) {
+    if (initial_wait_count_[static_cast<size_t>(t)] == 0) {
+      initial_ready_.push_back(t);
     }
   }
 }
@@ -48,13 +68,8 @@ DependencyTracker::DependencyTracker(const JobGraph& graph) : graph_(&graph) {
 DependencyTracker::State::State(const DependencyTracker& tracker)
     : tracker_(&tracker),
       wait_count_(tracker.initial_wait_count_),
-      stage_done_(tracker.stage_total_.size(), 0) {
-  for (int t = 0; t < tracker.total_tasks(); ++t) {
-    if (wait_count_[static_cast<size_t>(t)] == 0) {
-      newly_ready_.push_back(t);
-    }
-  }
-}
+      stage_done_(tracker.stage_total_.size(), 0),
+      newly_ready_(tracker.initial_ready_) {}
 
 void DependencyTracker::State::Unblock(int flat_task) {
   if (--wait_count_[static_cast<size_t>(flat_task)] == 0) {
@@ -75,8 +90,11 @@ void DependencyTracker::State::MarkDone(int flat_task) {
       }
     }
   }
-  for (int consumer : tracker_->one_to_one_consumers_[static_cast<size_t>(flat_task)]) {
-    Unblock(consumer);
+  const int* consumers = tracker_->one_to_one_consumers_.data();
+  const size_t t = static_cast<size_t>(flat_task);
+  for (int k = tracker_->one_to_one_offsets_[t]; k < tracker_->one_to_one_offsets_[t + 1];
+       ++k) {
+    Unblock(consumers[k]);
   }
 }
 
@@ -96,13 +114,12 @@ double DependencyTracker::State::FracComplete(int stage) const {
          static_cast<double>(tracker_->StageTotal(stage));
 }
 
-std::vector<double> DependencyTracker::State::FracCompleteAll() const {
-  std::vector<double> out(stage_done_.size());
+void DependencyTracker::State::FracCompleteInto(std::vector<double>& out) const {
+  out.resize(stage_done_.size());
   for (size_t s = 0; s < stage_done_.size(); ++s) {
     out[s] = static_cast<double>(stage_done_[s]) /
              static_cast<double>(tracker_->stage_total_[s]);
   }
-  return out;
 }
 
 }  // namespace jockey

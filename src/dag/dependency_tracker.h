@@ -53,8 +53,10 @@ class DependencyTracker {
     int done_total() const { return done_total_; }
     int StageDone(int stage) const { return stage_done_[static_cast<size_t>(stage)]; }
     double FracComplete(int stage) const;
-    // Per-stage completed fraction for every stage (the f_s vector of Section 4.3).
-    std::vector<double> FracCompleteAll() const;
+    // Writes the per-stage completed fraction of every stage (the f_s vector of
+    // Section 4.3) into `out`, resized to the stage count. Callers that sample
+    // progress repeatedly pass the same buffer, so a sample allocates nothing.
+    void FracCompleteInto(std::vector<double>& out) const;
 
    private:
     void Unblock(int flat_task);
@@ -72,9 +74,13 @@ class DependencyTracker {
   std::vector<int> task_base_;
   std::vector<int> stage_of_;
   std::vector<int> stage_total_;
-  std::vector<std::vector<int>> one_to_one_consumers_;  // per flat task
-  std::vector<std::vector<int>> barrier_consumers_;     // per stage
+  // One-to-one wake-ups in CSR form: flat task t's consumers are
+  // one_to_one_consumers_[one_to_one_offsets_[t] .. one_to_one_offsets_[t + 1]).
+  std::vector<int> one_to_one_offsets_;
+  std::vector<int> one_to_one_consumers_;
+  std::vector<std::vector<int>> barrier_consumers_;  // per stage
   std::vector<int> initial_wait_count_;
+  std::vector<int> initial_ready_;  // tasks with no inputs, in flat-id order
 };
 
 }  // namespace jockey

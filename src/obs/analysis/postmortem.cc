@@ -166,6 +166,17 @@ class Analyzer {
   }
 
  private:
+  // The accumulator of the job an event names, or nullptr when the current run has
+  // no job_submit for it: the event is then skipped and counted.
+  JobAcc* Submitted(int job) {
+    auto it = jobs_.find(job);
+    if (it == jobs_.end()) {
+      ++report_.unsubmitted_events;
+      return nullptr;
+    }
+    return &it->second;
+  }
+
   void Dispatch(const TraceEvent& event) {
     double t = event.time_seconds;
     switch (event.kind()) {
@@ -178,31 +189,28 @@ class Analyzer {
       }
       case EventKind::kJobFinish: {
         const auto& e = std::get<JobFinishEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it != jobs_.end()) {
-          it->second.finished = true;
-          it->second.finish = t;
-          it->second.completion_elapsed = e.completion_seconds;
+        if (JobAcc* job = Submitted(e.job)) {
+          job->finished = true;
+          job->finish = t;
+          job->completion_elapsed = e.completion_seconds;
         }
         break;
       }
       case EventKind::kTaskReady: {
         const auto& e = std::get<TaskReadyEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it == jobs_.end()) {
-          break;
+        if (JobAcc* job = Submitted(e.job)) {
+          job->pending_ready[e.task].push_back(t);
+          job->first_ready.emplace(e.task, t);
         }
-        it->second.pending_ready[e.task].push_back(t);
-        it->second.first_ready.emplace(e.task, t);
         break;
       }
       case EventKind::kTaskDispatch: {
         const auto& e = std::get<TaskDispatchEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it == jobs_.end()) {
+        JobAcc* found = Submitted(e.job);
+        if (found == nullptr) {
           break;
         }
-        JobAcc& job = it->second;
+        JobAcc& job = *found;
         TaskAttemptSpan span;
         span.job = e.job;
         span.stage = e.stage;
@@ -225,11 +233,11 @@ class Analyzer {
       }
       case EventKind::kTaskComplete: {
         const auto& e = std::get<TaskCompleteEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it == jobs_.end()) {
+        JobAcc* found = Submitted(e.job);
+        if (found == nullptr) {
           break;
         }
-        JobAcc& job = it->second;
+        JobAcc& job = *found;
         auto oit = job.open_by_task.find(e.task);
         if (oit != job.open_by_task.end()) {
           // The winner is the most recent open attempt whose speculative flag
@@ -258,11 +266,11 @@ class Analyzer {
       }
       case EventKind::kTaskKilled: {
         const auto& e = std::get<TaskKilledEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it == jobs_.end()) {
+        JobAcc* found = Submitted(e.job);
+        if (found == nullptr) {
           break;
         }
-        JobAcc& job = it->second;
+        JobAcc& job = *found;
         auto oit = job.open_by_task.find(e.task);
         if (oit == job.open_by_task.end() || oit->second.empty()) {
           break;
@@ -283,20 +291,19 @@ class Analyzer {
       }
       case EventKind::kControlTick: {
         const auto& e = std::get<ControlTickEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it == jobs_.end()) {
+        JobAcc* job = Submitted(e.job);
+        if (job == nullptr) {
           break;
         }
         bool lag = static_cast<double>(e.granted_tokens) + 0.5 < e.raw_allocation;
-        AddControlPoint(it->second.control, t, lag, /*has_lag=*/true, /*degraded=*/false);
-        it->second.ticks.push_back({e.elapsed_seconds, e.progress, e.predicted_remaining_seconds});
+        AddControlPoint(job->control, t, lag, /*has_lag=*/true, /*degraded=*/false);
+        job->ticks.push_back({e.elapsed_seconds, e.progress, e.predicted_remaining_seconds});
         break;
       }
       case EventKind::kDegradedDecision: {
         const auto& e = std::get<DegradedDecisionEvent>(event.payload);
-        auto it = jobs_.find(e.job);
-        if (it != jobs_.end()) {
-          AddControlPoint(it->second.control, t, false, /*has_lag=*/false, /*degraded=*/true);
+        if (JobAcc* job = Submitted(e.job)) {
+          AddControlPoint(job->control, t, false, /*has_lag=*/false, /*degraded=*/true);
         }
         break;
       }

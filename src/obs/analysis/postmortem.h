@@ -134,6 +134,10 @@ struct PostmortemReport {
   LatencyBudget total_budget;  // summed over finished jobs
   int runs = 0;
   int events = 0;  // trace events consumed
+  // Job-scoped events skipped because their run has no job_submit for the job
+  // (0 on every trace the simulators write; a malformed or truncated head of a
+  // trace makes the analysis silently drop that job's events).
+  int unsubmitted_events = 0;
   double deadline_seconds = -1.0;
   int misses = 0;  // finished jobs over the deadline (0 when no deadline)
   int met = 0;

@@ -204,7 +204,8 @@ constexpr std::tuple kJobKey{Field("run", &LineKey::run), Field("job", &LineKey:
 
 // The run header carries the sampling period and the ring-drop counters, so a
 // reader can tell a short series from a truncated one. Its "t" is always 0, and
-// `deadline` (the first job's) is informational: readers check but do not keep it.
+// `deadline` is the run's first job's (-1 with no jobs): both are derived, so the
+// reader checks them against what it reads and keeps neither.
 struct RunHeader {
   int run = 0;
   double period = 0.0;
@@ -305,19 +306,21 @@ void WriteTimeSeriesJsonl(std::ostream& os, const TimeSeries& series) {
 }
 
 TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
-  TimeSeriesReadResult result;
   TimeSeries series;
   std::string line;
   FlatJsonFields fields;
   int line_number = 0;
-  auto fail = [&](const std::string& message) {
-    result.line = line_number;
-    result.message = message;
-    return result;
+  auto fail = [&](std::string message) {
+    TimeSeriesReadResult failed;
+    failed.line = line_number;
+    failed.message = std::move(message);
+    return failed;
   };
   auto malformed = [](std::string_view key) {
     return "missing or malformed field '" + std::string(key) + "'";
   };
+  // Per run: the header's line and deadline, checked once the run's jobs are known.
+  std::vector<std::pair<int, double>> header_deadlines;
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty()) {
@@ -342,6 +345,10 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
       if (ok && header.run != static_cast<int>(series.runs.size())) {
         return fail("out-of-order run index");
       }
+      if (ok && t != 0.0) {
+        return fail("field 't' of a ts_run line must be 0");
+      }
+      header_deadlines.emplace_back(line_number, header.deadline);
       if (series.runs.empty()) {
         series.sample_period_seconds = header.period;
       }
@@ -377,7 +384,13 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
         ok = ReadFields<kSloFields>(fields, tr);
         JobIn(run, key.job).transitions.push_back(tr);
       } else {
-        ok = ReadFields<kJobEndFields>(fields, JobIn(run, key.job));
+        JobTimeline& job = JobIn(run, key.job);
+        ok = ReadFields<kJobEndFields>(fields, job);
+        if (ok && t != (job.finished ? job.completion_seconds : 0.0)) {
+          return fail(
+              "field 't' of a ts_job_end line must be its completion time, or 0 when "
+              "unfinished");
+        }
       }
     }
     if (!ok) {
@@ -388,6 +401,16 @@ TimeSeriesReadResult ReadTimeSeriesJsonl(std::istream& is) {
                   std::string(*kind) + "'");
     }
   }
+  for (size_t r = 0; r < series.runs.size(); ++r) {
+    const std::vector<JobTimeline>& jobs = series.runs[r].jobs;
+    if (header_deadlines[r].second != (jobs.empty() ? -1.0 : jobs.front().deadline_seconds)) {
+      line_number = header_deadlines[r].first;
+      return fail(
+          "field 'deadline' of a ts_run line must be its run's first job's deadline, or -1 "
+          "with no jobs");
+    }
+  }
+  TimeSeriesReadResult result;
   result.series = std::move(series);
   return result;
 }

@@ -7,7 +7,7 @@ namespace jockey {
 
 namespace {
 // Event payload for the typed queue: a flat task id, or kSampleEvent for the
-// periodic progress sample. A binary heap rather than the cluster simulator's
+// periodic progress sample. A heap rather than the cluster simulator's
 // calendar queue: a single job keeps few events pending, and the heap measured
 // faster on the C(p,a) build (DESIGN.md, "Event queues").
 constexpr int32_t kSampleEvent = -1;
@@ -24,7 +24,9 @@ SimRunResult JobSimulator::Run(int allocation, Rng& rng,
   assert(allocation >= 1);
   int s_count = graph_->num_stages();
 
-  HeapEventQueue<int32_t> eq;
+  // Pending events: at most one per busy slot, plus the progress sample.
+  HeapEventQueue<int32_t> eq(
+      static_cast<size_t>(std::min(allocation, tracker_.total_tasks())) + 1);
   DependencyTracker::State state(tracker_);
   int free_slots = allocation;
   double finish_time = 0.0;
@@ -80,11 +82,13 @@ SimRunResult JobSimulator::Run(int allocation, Rng& rng,
     drain_ready();
   };
 
+  std::vector<double> frac_complete;  // reused by every progress sample of this run
   auto sample = [&]() {
     if (state.AllDone()) {
       return;
     }
-    on_progress(eq.now(), state.FracCompleteAll());
+    state.FracCompleteInto(frac_complete);
+    on_progress(eq.now(), frac_complete);
     eq.ScheduleAfter(config_.sample_period_seconds, kSampleEvent);
   };
   if (on_progress) {

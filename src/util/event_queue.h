@@ -1,5 +1,5 @@
 // The SimTime alias shared by every simulation layer, the (when, insertion-seq)
-// event order, and the typed binary-heap event queue.
+// event order, and the typed 4-ary-heap event queue.
 //
 // Both simulators schedule small POD event records instead of type-erased
 // callbacks, so scheduling an event allocates nothing beyond amortized vector
@@ -57,15 +57,33 @@ inline void CheckNotInPast(SimTime when, SimTime now) {
 
 }  // namespace internal
 
-// Typed binary-heap event queue (std::push_heap/pop_heap over a vector).
+// Typed 4-ary min-heap event queue over a vector of (when, seq, payload) nodes.
+// Four children per node halve the depth of a binary heap, so a push climbs fewer
+// levels and a pop's sift-down compares four adjacent nodes per level, one or two
+// cache lines. The (when, seq) order is strict and total, so the pop order is that
+// of any correct priority queue.
 template <typename Payload>
 class HeapEventQueue {
  public:
+  // `capacity`: pending events to reserve room for up front (a caller that knows
+  // its bound avoids the vector's growth steps).
+  explicit HeapEventQueue(size_t capacity = 0) { heap_.reserve(capacity); }
+
   // Throws std::logic_error if when < now().
   void ScheduleAt(SimTime when, Payload payload) {
     internal::CheckNotInPast(when, now_);
-    heap_.push_back(Node{when, next_seq_++, std::move(payload)});
-    std::push_heap(heap_.begin(), heap_.end(), Later);
+    Node node{when, next_seq_++, std::move(payload)};
+    size_t hole = heap_.size();
+    heap_.emplace_back();
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / kArity;
+      if (!internal::FiresBefore(node, heap_[parent])) {
+        break;
+      }
+      heap_[hole] = std::move(heap_[parent]);
+      hole = parent;
+    }
+    heap_[hole] = std::move(node);
   }
   void ScheduleAfter(SimTime delay, Payload p) { ScheduleAt(now_ + delay, std::move(p)); }
 
@@ -74,11 +92,35 @@ class HeapEventQueue {
     if (heap_.empty()) {
       return false;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    Node node = std::move(heap_.back());
+    now_ = heap_.front().when;
+    out = std::move(heap_.front().payload);
+    Node last = std::move(heap_.back());
     heap_.pop_back();
-    now_ = node.when;
-    out = std::move(node.payload);
+    const size_t n = heap_.size();
+    if (n == 0) {
+      return true;
+    }
+    // Sift the former last node down from the root into the hole the pop left.
+    size_t hole = 0;
+    for (;;) {
+      const size_t first = hole * kArity + 1;
+      if (first >= n) {
+        break;
+      }
+      size_t best = first;
+      const size_t end = std::min(first + kArity, n);
+      for (size_t c = first + 1; c < end; ++c) {
+        if (internal::FiresBefore(heap_[c], heap_[best])) {
+          best = c;
+        }
+      }
+      if (!internal::FiresBefore(heap_[best], last)) {
+        break;
+      }
+      heap_[hole] = std::move(heap_[best]);
+      hole = best;
+    }
+    heap_[hole] = std::move(last);
     return true;
   }
 
@@ -88,7 +130,7 @@ class HeapEventQueue {
 
  private:
   using Node = internal::TimedEvent<Payload>;
-  static bool Later(const Node& a, const Node& b) { return internal::FiresBefore(b, a); }
+  static constexpr size_t kArity = 4;
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;

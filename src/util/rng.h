@@ -4,18 +4,64 @@
 // that experiments are reproducible bit-for-bit. Child generators derived with
 // Rng::Fork() are statistically independent streams, which lets a parent component
 // hand isolated randomness to each sub-component without coupling their draw order.
+//
+// The engine is an in-repo Mt19937_64 rather than std::mt19937_64. Its seeding and
+// output are the standard's (RngTest pins both against the library engine), so every
+// stream is unchanged; only the twist differs in form. libstdc++ selects the twist
+// constant with `(y & 1) ? a : 0`, a data-dependent branch that mispredicts on half the
+// words; a mask selects it here (rng.cc), and the twist loop vectorizes at -O2. 14M
+// draws take 0.12-0.16 s on the library engine and 0.03-0.06 s on this one (g++ 12,
+// 4-vCPU Xeon VM).
 
 #ifndef SRC_UTIL_RNG_H_
 #define SRC_UTIL_RNG_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace jockey {
 
+// MT19937-64 ([rand.predef]): std::mt19937_64's parameters, seeding and tempering,
+// with a branch-free twist. A UniformRandomBitGenerator with the library engine's
+// min() and max(), so the standard distributions draw from it exactly as they draw
+// from std::mt19937_64.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~uint64_t{0}; }
+
+  result_type operator()() {
+    if (next_ >= kN) {
+      Twist();
+    }
+    uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+ private:
+  static constexpr size_t kN = 312;
+  static constexpr size_t kM = 156;
+  // Regenerates all kN words; out of line (rng.cc), as it runs once per kN draws.
+  void Twist();
+
+  std::array<uint64_t, kN> state_;
+  size_t next_ = kN;
+};
+
 // A seeded pseudo-random generator with convenience samplers.
 //
-// Wraps std::mt19937_64. Copyable (copies continue the same stream independently);
+// Holds an Mt19937_64. Copyable (copies continue the same stream independently);
 // prefer Fork() when independence is wanted.
 class Rng {
  public:
@@ -82,7 +128,7 @@ class Rng {
     return x_m * std::pow(u, -1.0 / alpha);
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
   // Splitmix64 finalizer: decorrelates nearby seeds (0, 1, 2, ...).
@@ -93,7 +139,7 @@ class Rng {
     return x ^ (x >> 31);
   }
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 

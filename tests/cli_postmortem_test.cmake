@@ -100,4 +100,20 @@ endif()
 if(NOT strict_err MATCHES ":2:.*extra")
   message(FATAL_ERROR "--strict did not name the line and the undefined key:\n${strict_err}")
 endif()
+# Lenient mode skips a malformed line, but when that line was a job_submit every
+# later event of its job would drop out of the analysis unseen: the postmortem
+# must count them on stderr and fail.
+file(READ ${JSONL} traced)
+string(REGEX REPLACE "(\"kind\":\"job_submit\"[^\n]*)}\n" "\\1,\"extra\":1}\n" traced
+       "${traced}")
+file(WRITE ${BROKEN} "${traced}")
+execute_process(COMMAND ${CLI} postmortem ${BROKEN}
+                RESULT_VARIABLE rc ERROR_VARIABLE lenient_err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "lenient postmortem passed a trace whose job_submit was skipped")
+endif()
+if(NOT lenient_err MATCHES "1 malformed line skipped" OR
+   NOT lenient_err MATCHES "events naming a job with no job_submit in their run: [1-9]")
+  message(FATAL_ERROR "lenient postmortem did not count the unsubmitted events:\n${lenient_err}")
+endif()
 file(REMOVE_RECURSE ${CACHE_DIR})

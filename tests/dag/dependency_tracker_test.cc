@@ -84,7 +84,9 @@ TEST(DependencyTrackerTest, FracCompleteTracksStageProgress) {
   EXPECT_DOUBLE_EQ(state.FracComplete(0), 0.0);
   state.MarkDone(t.FlatId(0, 0));
   EXPECT_DOUBLE_EQ(state.FracComplete(0), 1.0 / 3.0);
-  auto all = state.FracCompleteAll();
+  std::vector<double> all(9, -1.0);  // a reused buffer is resized and overwritten
+  state.FracCompleteInto(all);
+  ASSERT_EQ(all.size(), static_cast<size_t>(g.num_stages()));
   EXPECT_DOUBLE_EQ(all[0], 1.0 / 3.0);
   EXPECT_DOUBLE_EQ(all[1], 0.0);
 }

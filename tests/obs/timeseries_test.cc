@@ -277,6 +277,21 @@ TEST(TimeSeriesJsonlTest, ReaderRejectsNonCanonicalNumbers) {
       {"{\"t\":0,\"kind\":\"ts_run\",\"run\":1,\"period\":60,\"deadline\":-1,"
        "\"cluster_dropped\":0,\"extra\":1}",
        "'extra'"},
+      // Derived fields that disagree with what the writer derives them from: a run
+      // header's "t" (always 0) and deadline (its first job's, -1 with no jobs), and a
+      // job end's "t" (the completion time, or 0 when unfinished).
+      {"{\"t\":5,\"kind\":\"ts_run\",\"run\":1,\"period\":60,\"deadline\":-1,"
+       "\"cluster_dropped\":0}",
+       "'t'"},
+      {"{\"t\":0,\"kind\":\"ts_run\",\"run\":1,\"period\":60,\"deadline\":123,"
+       "\"cluster_dropped\":0}",
+       "'deadline'"},
+      {"{\"t\":60,\"kind\":\"ts_job_end\",\"run\":0,\"job\":0,\"deadline\":-1,"
+       "\"finished\":true,\"completion\":1,\"final\":\"on_track\",\"dropped\":0}",
+       "'t'"},
+      {"{\"t\":60,\"kind\":\"ts_job_end\",\"run\":0,\"job\":0,\"deadline\":-1,"
+       "\"finished\":false,\"completion\":0,\"final\":\"on_track\",\"dropped\":0}",
+       "'t'"},
   };
   for (const Case& c : cases) {
     std::istringstream in(header + c.line + "\n");

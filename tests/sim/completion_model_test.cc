@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/core/experiment.h"
 #include "src/sim/table_cache.h"
 #include "src/workload/job_generator.h"
 
@@ -197,6 +198,51 @@ TEST(CompletionModelTest, CorruptCacheEntryIsAMissNotACrash) {
   EXPECT_FALSE(stats.cache_hit);  // corrupt entry rebuilt from scratch
   EXPECT_EQ(Serialized(cold.table), Serialized(rebuilt.table));
   std::filesystem::remove_all(dir);
+}
+
+// Golden output of the C(p, a) build, recorded on the standard library's
+// std::mt19937_64 and a binary-heap event queue: any change to a random stream,
+// to the event order or to the task wake-up order moves it.
+//  - Tables: FNV-1a over Save() bytes of two small Table 2 jobs, trained as the
+//    scenario catalog trains them (training seed = shape seed + 500, the
+//    total-work-with-queueing indicator), at one and at four build threads.
+//  - Runs: ten JobSimulator::Run completion times of job A's trained model across
+//    the allocation range, each on its own counter-seeded stream, with progress
+//    sampling on, and the number of progress samples they took.
+TEST(CompletionModelGoldenTest, CatalogTablesAndRunsMatchRecordedOutput) {
+  const struct {
+    JobShapeSpec spec;
+    uint64_t table_hash;
+  } jobs[] = {{JobSpecA(), 0x5e241541dc7a9788ULL}, {JobSpecB(), 0xbcc95dd3c15fa889ULL}};
+  for (const auto& job : jobs) {
+    for (int threads : {1, 4}) {
+      TrainingOptions options;
+      options.seed = job.spec.seed + 500;
+      options.jockey.indicator = IndicatorKind::kTotalWorkWithQ;
+      options.jockey.model.threads = threads;
+      TrainedJob trained = TrainJob(GenerateJob(job.spec), options);
+      const uint64_t hash = HashString(Serialized(trained.jockey->table()));
+      EXPECT_EQ(hash, job.table_hash)
+          << job.spec.name << " at " << threads << " threads: 0x" << std::hex << hash;
+      if (job.spec.name != "jobA" || threads != 1) {
+        continue;
+      }
+      const double want[] = {0x1.15c6c0532c208p+15, 0x1.9b8964f365bf6p+11,
+                             0x1.f338318a41804p+10, 0x1.fc74f934737f7p+10,
+                             0x1.6106a22750b61p+10, 0x1.240a4a81cf342p+10,
+                             0x1.8c11363592f4ap+10, 0x1.85c56b5ab01aap+10,
+                             0x1.942fef52b7876p+10, 0x1.5454e8f5eb7b6p+10};
+      JobSimulator sim(trained.jockey->graph(), trained.jockey->profile());
+      int samples = 0;
+      for (int r = 0; r < 10; ++r) {
+        Rng rng(Rng::CounterSeed(7, static_cast<uint64_t>(r), 0));
+        SimRunResult result =
+            sim.Run(1 + 11 * r, rng, [&](SimTime, const std::vector<double>&) { ++samples; });
+        EXPECT_EQ(result.completion_seconds, want[r]) << "run " << r;
+      }
+      EXPECT_EQ(samples, 3443);
+    }
+  }
 }
 
 }  // namespace

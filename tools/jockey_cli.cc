@@ -1520,6 +1520,13 @@ int CmdPostmortem(int argc, char** argv, const std::string& trace_path) {
     // where (or whether) the JSON copy was written.
     std::fprintf(stderr, "postmortem JSON written to %s\n", json_out.c_str());
   }
+  // Events of a job whose job_submit was lost (a skipped malformed line, a cut
+  // head) are missing from the report above: say how many, and fail.
+  if (report.unsubmitted_events > 0) {
+    std::fprintf(stderr, "error: events naming a job with no job_submit in their run: %d\n",
+                 report.unsubmitted_events);
+    return 1;
+  }
   return 0;
 }
 
