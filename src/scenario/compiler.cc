@@ -78,54 +78,14 @@ ExperimentOptions BuildOptions(const ScenarioSpec& spec, const WorkloadEntrySpec
   if (spec.fixed_tokens.has_value()) {
     options.fixed_tokens = *spec.fixed_tokens;
   }
-  if (spec.control.has_value()) {
-    if (spec.control->period_seconds.has_value()) {
-      options.control_period_seconds = *spec.control->period_seconds;
-    }
-    if (spec.control->max_tokens.has_value()) {
-      options.max_tokens = *spec.control->max_tokens;
-    }
-  }
+  const ControlSpec knobs = spec.control.value_or(ControlSpec{});
+  knobs.ApplyTo(options);
   // A controller override is compiled only when something actually overrides the
   // trained config — the unset path must stay bit-identical to plain experiments.
   bool hardened = entry.hardened.value_or(spec.hardened);
-  bool tunes_control =
-      spec.control.has_value() &&
-      (spec.control->slack.has_value() || spec.control->hysteresis_alpha.has_value() ||
-       spec.control->dead_zone_seconds.has_value() ||
-       spec.control->stale_hold_seconds.has_value() ||
-       spec.control->blind_escalation_rate.has_value() ||
-       spec.control->blackout_gap_factor.has_value() ||
-       spec.control->grant_ratio_ewma.has_value() ||
-       spec.control->decision_cache.has_value());
-  if (hardened || tunes_control) {
+  if (hardened || knobs.OverridesController()) {
     ControlLoopConfig control = job.trained->jockey->config().control;
-    if (tunes_control) {
-      if (spec.control->slack.has_value()) {
-        control.slack = *spec.control->slack;
-      }
-      if (spec.control->hysteresis_alpha.has_value()) {
-        control.hysteresis_alpha = *spec.control->hysteresis_alpha;
-      }
-      if (spec.control->dead_zone_seconds.has_value()) {
-        control.dead_zone_seconds = *spec.control->dead_zone_seconds;
-      }
-      if (spec.control->stale_hold_seconds.has_value()) {
-        control.stale_hold_seconds = *spec.control->stale_hold_seconds;
-      }
-      if (spec.control->blind_escalation_rate.has_value()) {
-        control.blind_escalation_rate = *spec.control->blind_escalation_rate;
-      }
-      if (spec.control->blackout_gap_factor.has_value()) {
-        control.blackout_gap_factor = *spec.control->blackout_gap_factor;
-      }
-      if (spec.control->grant_ratio_ewma.has_value()) {
-        control.grant_ratio_ewma = *spec.control->grant_ratio_ewma;
-      }
-      if (spec.control->decision_cache.has_value()) {
-        control.enable_decision_cache = *spec.control->decision_cache;
-      }
-    }
+    knobs.ApplyTo(control);
     control.enable_degraded_mode = hardened;
     options.control_override = control;
   }

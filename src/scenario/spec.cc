@@ -1,8 +1,9 @@
 #include "src/scenario/spec.h"
 
-#include <cstdlib>
-#include <sstream>
+#include <charconv>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "src/fault/chaos_matrix.h"
 #include "src/obs/json_format.h"
@@ -23,82 +24,6 @@ bool Fail(ScenarioParseIssue* issue, int line, std::string field, std::string me
 
 std::string Join(const std::string& path, const std::string& key) {
   return path.empty() ? key : path + "." + key;
-}
-
-// ---------------------------------------------------------------------------
-// Typed scalar readers. All of them reject non-scalar nodes and (for numbers and
-// booleans) quoted scalars, so "seed": "3" is a type error, not a coercion.
-
-bool ReadString(const DocNode& node, const std::string& path, std::string* out,
-                ScenarioParseIssue* issue) {
-  if (node.kind != DocNode::Kind::kScalar) {
-    return Fail(issue, node.line, path, "expected a string");
-  }
-  *out = node.scalar;
-  return true;
-}
-
-bool ReadDouble(const DocNode& node, const std::string& path, double* out,
-                ScenarioParseIssue* issue) {
-  if (node.kind != DocNode::Kind::kScalar || node.was_quoted) {
-    return Fail(issue, node.line, path, "expected a number");
-  }
-  const char* text = node.scalar.c_str();
-  char* end = nullptr;
-  double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    return Fail(issue, node.line, path, "bad number \"" + node.scalar + "\"");
-  }
-  *out = value;
-  return true;
-}
-
-bool ReadInt(const DocNode& node, const std::string& path, int* out,
-             ScenarioParseIssue* issue) {
-  double value = 0.0;
-  if (!ReadDouble(node, path, &value, issue)) {
-    return false;
-  }
-  int truncated = static_cast<int>(value);
-  if (static_cast<double>(truncated) != value) {
-    return Fail(issue, node.line, path, "expected an integer");
-  }
-  *out = truncated;
-  return true;
-}
-
-bool ReadUint64(const DocNode& node, const std::string& path, uint64_t* out,
-                ScenarioParseIssue* issue) {
-  if (node.kind != DocNode::Kind::kScalar || node.was_quoted) {
-    return Fail(issue, node.line, path, "expected a non-negative integer");
-  }
-  const char* text = node.scalar.c_str();
-  if (*text == '-') {
-    return Fail(issue, node.line, path, "expected a non-negative integer");
-  }
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return Fail(issue, node.line, path, "bad integer \"" + node.scalar + "\"");
-  }
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-bool ReadBool(const DocNode& node, const std::string& path, bool* out,
-              ScenarioParseIssue* issue) {
-  if (node.kind != DocNode::Kind::kScalar || node.was_quoted) {
-    return Fail(issue, node.line, path, "expected true or false");
-  }
-  if (node.scalar == "true") {
-    *out = true;
-    return true;
-  }
-  if (node.scalar == "false") {
-    *out = false;
-    return true;
-  }
-  return Fail(issue, node.line, path, "expected true or false");
 }
 
 // Strict map access: Get() marks keys consumed, Finish() rejects leftovers with the
@@ -137,7 +62,6 @@ class MapReader {
     return true;
   }
 
-  const std::string& path() const { return path_; }
   std::string Sub(const char* key) const { return Join(path_, key); }
   int line() const { return node_.line; }
 
@@ -150,170 +74,493 @@ class MapReader {
 };
 
 // ---------------------------------------------------------------------------
-// Sub-spec parsers.
+// Field tables. Every scenario record is one table of Fields: its key, the member
+// it fills, whether the key may be absent, and its range rule. One reader
+// (ReadFields) and one canonical writer (WriteFields) expand every table, so a key
+// is spelled once and its reader, range check and writer cannot drift apart.
+//
+// The codec follows from the member's type: numbers go through json_format's strict
+// ParseJsonNumber / ParseJsonInt (the grammar the JSONL readers share: finite
+// decimal only, integers that fit their type), enums through their wire-name
+// registries, and record types through their own tables. A std::optional member is
+// written only when set; any other member is always written, so a spec's defaults
+// are spelled out in its canonical form.
 
-bool ParseDeadline(const DocNode& node, const std::string& path, DeadlineSpec* out,
-                   ScenarioParseIssue* issue) {
-  if (node.kind == DocNode::Kind::kScalar) {
-    if (node.scalar == "tight") {
-      out->kind = DeadlineSpec::Kind::kTight;
-      return true;
-    }
-    if (node.scalar == "long") {
-      out->kind = DeadlineSpec::Kind::kLong;
-      return true;
-    }
-    return Fail(issue, node.line, path,
-                "bad deadline \"" + node.scalar + "\" (tight, long, or {minutes: N})");
-  }
-  MapReader map(node, path, issue);
-  if (!map.ok()) {
-    return false;
-  }
-  const DocNode* minutes = map.Get("minutes");
-  if (minutes == nullptr) {
-    return Fail(issue, node.line, path, "deadline map requires \"minutes\"");
-  }
-  out->kind = DeadlineSpec::Kind::kMinutes;
-  if (!ReadDouble(*minutes, map.Sub("minutes"), &out->minutes, issue)) {
-    return false;
-  }
-  if (out->minutes <= 0.0) {
-    return Fail(issue, minutes->line, map.Sub("minutes"), "deadline must be positive");
-  }
-  return map.Finish();
+enum class Presence { kOptional, kRequired };
+
+// The closed set of range rules, each with its one message.
+enum class Range {
+  kAny,
+  kPositive,      // > 0
+  kNonNegative,   // >= 0
+  kAtLeastOne,    // >= 1
+  kUnitInterval,  // (0, 1]
+  kAboveOne,      // > 1
+  kNonEmpty,      // strings
+};
+
+template <typename S, typename... V>
+using MemberOf = std::variant<V S::*..., std::optional<V> S::*...>;
+
+template <typename S>
+using Member = MemberOf<S, double, int, uint64_t, bool, std::string, PolicyKind, FaultKind,
+                        DeadlineSpec, ArrivalSpec, OverloadSpec, DeadlineChangeSpec, FaultSpec,
+                        ControlSpec>;
+
+template <typename S>
+struct Field {
+  const char* key;
+  Member<S> member;
+  Range range = Range::kAny;
+  Presence presence = Presence::kOptional;
+};
+
+// Codecs of the record-valued members, defined after their tables.
+bool Decode(const DocNode&, const std::string&, DeadlineSpec&, ScenarioParseIssue*);
+bool Decode(const DocNode&, const std::string&, ArrivalSpec&, ScenarioParseIssue*);
+bool Decode(const DocNode&, const std::string&, OverloadSpec&, ScenarioParseIssue*);
+bool Decode(const DocNode&, const std::string&, DeadlineChangeSpec&, ScenarioParseIssue*);
+bool Decode(const DocNode&, const std::string&, FaultSpec&, ScenarioParseIssue*);
+bool Decode(const DocNode&, const std::string&, ControlSpec&, ScenarioParseIssue*);
+void Encode(std::string& out, const DeadlineSpec& deadline);
+void Encode(std::string& out, const ArrivalSpec& arrivals);
+void Encode(std::string& out, const OverloadSpec& overload);
+void Encode(std::string& out, const DeadlineChangeSpec& change);
+void Encode(std::string& out, const FaultSpec& faults);
+void Encode(std::string& out, const ControlSpec& control);
+
+// ---------------------------------------------------------------------------
+// Scalar codecs. Numbers and booleans reject quoted scalars, so "seed": "3" is a
+// type error, not a coercion.
+
+bool BareScalar(const DocNode& node) {
+  return node.kind == DocNode::Kind::kScalar && !node.was_quoted;
 }
 
-bool ParseDeadlineChange(const DocNode& node, const std::string& path,
-                         DeadlineChangeSpec* out, ScenarioParseIssue* issue) {
+bool Decode(const DocNode& node, const std::string& path, std::string& out,
+            ScenarioParseIssue* issue) {
+  if (node.kind != DocNode::Kind::kScalar) {
+    return Fail(issue, node.line, path, "expected a string");
+  }
+  out = node.scalar;
+  return true;
+}
+
+bool Decode(const DocNode& node, const std::string& path, double& out,
+            ScenarioParseIssue* issue) {
+  if (!BareScalar(node)) {
+    return Fail(issue, node.line, path, "expected a number");
+  }
+  if (!ParseJsonNumber(node.scalar, out)) {
+    return Fail(issue, node.line, path, "bad number \"" + node.scalar + "\"");
+  }
+  return true;
+}
+
+template <typename T, typename = std::enable_if_t<std::is_same_v<T, int> ||
+                                                  std::is_same_v<T, uint64_t>>>
+bool Decode(const DocNode& node, const std::string& path, T& out, ScenarioParseIssue* issue) {
+  if (!BareScalar(node)) {
+    return Fail(issue, node.line, path, "expected an integer");
+  }
+  if (!ParseJsonInt(node.scalar, out)) {
+    return Fail(issue, node.line, path, "bad integer \"" + node.scalar + "\"");
+  }
+  return true;
+}
+
+bool Decode(const DocNode& node, const std::string& path, bool& out,
+            ScenarioParseIssue* issue) {
+  if (!BareScalar(node) || (node.scalar != "true" && node.scalar != "false")) {
+    return Fail(issue, node.line, path, "expected true or false");
+  }
+  out = node.scalar == "true";
+  return true;
+}
+
+// An enumerator by its wire name, resolved through the enum's registry.
+template <typename E, typename Parse>
+bool DecodeName(const DocNode& node, const std::string& path, Parse parse, const char* what,
+                E& out, ScenarioParseIssue* issue) {
+  std::string token;
+  if (!Decode(node, path, token, issue)) {
+    return false;
+  }
+  std::optional<E> value = parse(token);
+  if (!value.has_value()) {
+    return Fail(issue, node.line, path, "unknown " + std::string(what) + " \"" + token + "\"");
+  }
+  out = *value;
+  return true;
+}
+
+bool Decode(const DocNode& node, const std::string& path, PolicyKind& out,
+            ScenarioParseIssue* issue) {
+  return DecodeName(node, path, ParsePolicyKind, "policy", out, issue);
+}
+
+bool Decode(const DocNode& node, const std::string& path, FaultKind& out,
+            ScenarioParseIssue* issue) {
+  return DecodeName(node, path, ParseFaultKind, "fault kind", out, issue);
+}
+
+void Encode(std::string& out, double value) { AppendJsonNumber(out, value); }
+void Encode(std::string& out, bool value) { out += value ? "true" : "false"; }
+void Encode(std::string& out, const std::string& value) { out += JsonString(value); }
+void Encode(std::string& out, PolicyKind policy) { out += JsonString(PolicyId(policy)); }
+void Encode(std::string& out, FaultKind kind) { out += JsonString(FaultKindName(kind)); }
+
+template <typename T, typename = std::enable_if_t<std::is_same_v<T, int> ||
+                                                  std::is_same_v<T, uint64_t>>>
+void Encode(std::string& out, T value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+// ---------------------------------------------------------------------------
+// Range rules: what `value` must be under `range`, or nullptr when it is.
+
+template <typename T>
+const char* RangeViolation(Range range, const T& value) {
+  if constexpr (std::is_same_v<T, double> || std::is_same_v<T, int>) {
+    switch (range) {
+      case Range::kPositive:
+        return value > 0 ? nullptr : "positive";
+      case Range::kNonNegative:
+        return value >= 0 ? nullptr : ">= 0";
+      case Range::kAtLeastOne:
+        return value >= 1 ? nullptr : ">= 1";
+      case Range::kUnitInterval:
+        return value > 0 && value <= 1 ? nullptr : "in (0, 1]";
+      case Range::kAboveOne:
+        return value > 1 ? nullptr : "> 1";
+      default:
+        break;
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return range == Range::kNonEmpty && value.empty() ? "non-empty" : nullptr;
+  }
+  return nullptr;
+}
+
+// Decodes one value under `key` and applies its range rule.
+template <typename T>
+bool DecodeInRange(const DocNode& node, const std::string& path, const char* key, Range range,
+                   T& out, ScenarioParseIssue* issue) {
+  if (!Decode(node, path, out, issue)) {
+    return false;
+  }
+  if (const char* rule = RangeViolation(range, out)) {
+    return Fail(issue, node.line, path, std::string(key) + " must be " + rule);
+  }
+  return true;
+}
+
+template <typename T>
+bool DecodeInRange(const DocNode& node, const std::string& path, const char* key, Range range,
+                   std::optional<T>& out, ScenarioParseIssue* issue) {
+  T value{};
+  if (!DecodeInRange(node, path, key, range, value, issue)) {
+    return false;
+  }
+  out = std::move(value);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// The generic reader and writer. `Row` is Field<S> or a type derived from it.
+
+template <typename S, typename Row, size_t N>
+bool ReadFields(MapReader& map, const Row (&table)[N], S& out, ScenarioParseIssue* issue) {
+  for (const Field<S>& field : table) {
+    const DocNode* node = map.Get(field.key);
+    if (node == nullptr) {
+      if (field.presence == Presence::kRequired) {
+        return Fail(issue, map.line(), map.Sub(field.key),
+                    "missing required key \"" + std::string(field.key) + "\"");
+      }
+      continue;
+    }
+    bool ok = std::visit(
+        [&](auto member) {
+          return DecodeInRange(*node, map.Sub(field.key), field.key, field.range, out.*member,
+                               issue);
+        },
+        field.member);
+    if (!ok) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <typename S, typename Row, size_t N>
+bool ReadRecord(const DocNode& node, const std::string& path, const Row (&table)[N], S& out,
+                ScenarioParseIssue* issue) {
   MapReader map(node, path, issue);
-  if (!map.ok()) {
+  return map.ok() && ReadFields(map, table, out, issue) && map.Finish();
+}
+
+// A comma, unless `out` has just opened a map or a list.
+void Separate(std::string& out) {
+  if (out.back() != '{' && out.back() != '[') {
+    out += ',';
+  }
+}
+
+// `,"key":`
+void AppendKey(std::string& out, const char* key) {
+  Separate(out);
+  out += '"';
+  out += key;
+  out += "\":";
+}
+
+template <typename T>
+void EncodeField(std::string& out, const char* key, const T& value) {
+  AppendKey(out, key);
+  Encode(out, value);
+}
+
+template <typename T>
+void EncodeField(std::string& out, const char* key, const std::optional<T>& value) {
+  if (value.has_value()) {
+    EncodeField(out, key, *value);
+  }
+}
+
+template <typename S, typename Row, size_t N>
+void WriteFields(std::string& out, const Row (&table)[N], const S& record) {
+  for (const Field<S>& field : table) {
+    std::visit([&](auto member) { EncodeField(out, field.key, record.*member); }, field.member);
+  }
+}
+
+template <typename S, typename Row, size_t N>
+void WriteRecord(std::string& out, const Row (&table)[N], const S& record) {
+  out += '{';
+  WriteFields(out, table, record);
+  out += '}';
+}
+
+// ---------------------------------------------------------------------------
+// The tables, in canonical key order.
+
+const Field<OverloadSpec> kOverloadFields[] = {
+    {"start", &OverloadSpec::start_seconds, Range::kNonNegative, Presence::kRequired},
+    {"duration", &OverloadSpec::duration_seconds, Range::kPositive, Presence::kRequired},
+    {"utilization", &OverloadSpec::utilization, Range::kPositive, Presence::kRequired},
+};
+
+// `factor` and `minutes` are a choice: exactly one is set (checked by Decode).
+const Field<DeadlineChangeSpec> kDeadlineChangeFields[] = {
+    {"at", &DeadlineChangeSpec::at_seconds, Range::kNonNegative, Presence::kRequired},
+    {"factor", &DeadlineChangeSpec::factor, Range::kPositive},
+    {"minutes", &DeadlineChangeSpec::minutes, Range::kPositive},
+};
+
+const Field<DeadlineSpec> kDeadlineMinutesFields[] = {
+    {"minutes", &DeadlineSpec::minutes, Range::kPositive, Presence::kRequired},
+};
+
+// An inline fault window; the plan file spells `machines` as machine_count. Ranges
+// are FaultPlan::Validate's, which knows each kind's magnitude.
+const Field<FaultWindow> kFaultWindowFields[] = {
+    {"kind", &FaultWindow::kind, Range::kAny, Presence::kRequired},
+    {"start", &FaultWindow::start_seconds, Range::kAny, Presence::kRequired},
+    {"end", &FaultWindow::end_seconds, Range::kAny, Presence::kRequired},
+    {"magnitude", &FaultWindow::magnitude},
+    {"job", &FaultWindow::job},
+    {"first_machine", &FaultWindow::first_machine},
+    {"machines", &FaultWindow::machine_count},
+    {"period", &FaultWindow::period_seconds},
+};
+
+// A control knob and the member it sets: a ControlLoopConfig override, or for
+// period_seconds and max_tokens the ExperimentOptions field the harness reads.
+// Knob() checks that the two types agree.
+struct ControlKnob : Field<ControlSpec> {
+  std::variant<double ControlLoopConfig::*, bool ControlLoopConfig::*,
+               double ExperimentOptions::*, int ExperimentOptions::*>
+      sets;
+};
+
+template <typename V, typename Config>
+constexpr ControlKnob Knob(const char* key, std::optional<V> ControlSpec::*member, Range range,
+                           V Config::*sets) {
+  return {{key, member, range}, sets};
+}
+
+// Ranges mirror ValidateControlLoopConfig.
+const ControlKnob kControlKnobs[] = {
+    Knob("period_seconds", &ControlSpec::period_seconds, Range::kPositive,
+         &ExperimentOptions::control_period_seconds),
+    Knob("max_tokens", &ControlSpec::max_tokens, Range::kAtLeastOne,
+         &ExperimentOptions::max_tokens),
+    Knob("slack", &ControlSpec::slack, Range::kPositive, &ControlLoopConfig::slack),
+    Knob("hysteresis_alpha", &ControlSpec::hysteresis_alpha, Range::kUnitInterval,
+         &ControlLoopConfig::hysteresis_alpha),
+    Knob("dead_zone_seconds", &ControlSpec::dead_zone_seconds, Range::kNonNegative,
+         &ControlLoopConfig::dead_zone_seconds),
+    Knob("stale_hold_seconds", &ControlSpec::stale_hold_seconds, Range::kNonNegative,
+         &ControlLoopConfig::stale_hold_seconds),
+    Knob("blind_escalation_rate", &ControlSpec::blind_escalation_rate, Range::kUnitInterval,
+         &ControlLoopConfig::blind_escalation_rate),
+    Knob("blackout_gap_factor", &ControlSpec::blackout_gap_factor, Range::kAboveOne,
+         &ControlLoopConfig::blackout_gap_factor),
+    Knob("grant_ratio_ewma", &ControlSpec::grant_ratio_ewma, Range::kUnitInterval,
+         &ControlLoopConfig::grant_ratio_ewma),
+    Knob("decision_cache", &ControlSpec::decision_cache, Range::kAny,
+         &ControlLoopConfig::enable_decision_cache),
+};
+
+const Field<RandomJobSpec> kRandomJobFields[] = {
+    {"name", &RandomJobSpec::name, Range::kNonEmpty},
+    {"seed", &RandomJobSpec::seed},
+};
+
+const Field<RandomJobParams> kRandomJobParamsFields[] = {
+    {"min_stages", &RandomJobParams::min_stages, Range::kAtLeastOne},
+    {"max_stages", &RandomJobParams::max_stages, Range::kAtLeastOne},
+    {"min_vertices", &RandomJobParams::min_vertices, Range::kAtLeastOne},
+    {"max_vertices", &RandomJobParams::max_vertices, Range::kAtLeastOne},
+    {"min_median_seconds", &RandomJobParams::min_median_seconds, Range::kPositive},
+    {"max_median_seconds", &RandomJobParams::max_median_seconds, Range::kPositive},
+};
+
+// Everything of a workload entry after its `job` | `random` choice.
+const Field<WorkloadEntrySpec> kEntryFields[] = {
+    {"deadline", &WorkloadEntrySpec::deadline},
+    {"repeats", &WorkloadEntrySpec::repeats, Range::kAtLeastOne},
+    {"seed", &WorkloadEntrySpec::seed},
+    {"input_scale", &WorkloadEntrySpec::input_scale, Range::kPositive},
+    {"jitter_input", &WorkloadEntrySpec::jitter_input},
+    {"policy", &WorkloadEntrySpec::policy},
+    {"hardened", &WorkloadEntrySpec::hardened},
+    {"overload", &WorkloadEntrySpec::overload},
+    {"deadline_change", &WorkloadEntrySpec::deadline_change},
+    {"faults", &WorkloadEntrySpec::faults},
+};
+
+const Field<PhaseSpec> kPhaseFields[] = {
+    {"name", &PhaseSpec::name, Range::kNonEmpty, Presence::kRequired},
+    {"duration", &PhaseSpec::duration_seconds, Range::kPositive, Presence::kRequired},
+    {"utilization", &PhaseSpec::utilization, Range::kPositive},
+    {"arrivals", &PhaseSpec::arrivals, Range::kAny, Presence::kRequired},
+};
+
+// Everything of a scenario before its `workload` and `phases` lists.
+const Field<ScenarioSpec> kScenarioFields[] = {
+    {"name", &ScenarioSpec::name, Range::kNonEmpty, Presence::kRequired},
+    {"seed", &ScenarioSpec::seed},
+    {"repeats", &ScenarioSpec::repeats, Range::kAtLeastOne},
+    {"policy", &ScenarioSpec::policy},
+    {"jitter_input", &ScenarioSpec::jitter_input},
+    {"hardened", &ScenarioSpec::hardened},
+    {"use_spare_tokens", &ScenarioSpec::use_spare_tokens},
+    {"fixed_tokens", &ScenarioSpec::fixed_tokens, Range::kAtLeastOne},
+    {"input_scale", &ScenarioSpec::input_scale, Range::kPositive},
+    {"overload", &ScenarioSpec::overload},
+    {"deadline_change", &ScenarioSpec::deadline_change},
+    {"faults", &ScenarioSpec::faults},
+    {"control", &ScenarioSpec::control},
+};
+
+// ---------------------------------------------------------------------------
+// Record codecs: the tables plus what no table can say.
+
+bool Decode(const DocNode& node, const std::string& path, OverloadSpec& out,
+            ScenarioParseIssue* issue) {
+  return ReadRecord(node, path, kOverloadFields, out, issue);
+}
+
+void Encode(std::string& out, const OverloadSpec& overload) {
+  WriteRecord(out, kOverloadFields, overload);
+}
+
+bool Decode(const DocNode& node, const std::string& path, ControlSpec& out,
+            ScenarioParseIssue* issue) {
+  return ReadRecord(node, path, kControlKnobs, out, issue);
+}
+
+void Encode(std::string& out, const ControlSpec& control) {
+  WriteRecord(out, kControlKnobs, control);
+}
+
+bool Decode(const DocNode& node, const std::string& path, DeadlineChangeSpec& out,
+            ScenarioParseIssue* issue) {
+  if (!ReadRecord(node, path, kDeadlineChangeFields, out, issue)) {
     return false;
   }
-  const DocNode* at = map.Get("at");
-  if (at == nullptr) {
-    return Fail(issue, node.line, path, "deadline_change requires \"at\" (seconds)");
-  }
-  if (!ReadDouble(*at, map.Sub("at"), &out->at_seconds, issue)) {
-    return false;
-  }
-  if (out->at_seconds < 0.0) {
-    return Fail(issue, at->line, map.Sub("at"), "change time must be >= 0");
-  }
-  const DocNode* factor = map.Get("factor");
-  const DocNode* minutes = map.Get("minutes");
-  if ((factor == nullptr) == (minutes == nullptr)) {
+  if (out.factor.has_value() == out.minutes.has_value()) {
     return Fail(issue, node.line, path,
                 "deadline_change takes exactly one of \"factor\" or \"minutes\"");
   }
-  if (factor != nullptr) {
-    double value = 0.0;
-    if (!ReadDouble(*factor, map.Sub("factor"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, factor->line, map.Sub("factor"), "factor must be positive");
-    }
-    out->factor = value;
-  } else {
-    double value = 0.0;
-    if (!ReadDouble(*minutes, map.Sub("minutes"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, minutes->line, map.Sub("minutes"), "minutes must be positive");
-    }
-    out->minutes = value;
-  }
-  return map.Finish();
+  return true;
 }
 
-bool ParseOverload(const DocNode& node, const std::string& path, OverloadSpec* out,
-                   ScenarioParseIssue* issue) {
+void Encode(std::string& out, const DeadlineChangeSpec& change) {
+  WriteRecord(out, kDeadlineChangeFields, change);
+}
+
+// `tight`, `long`, or `{minutes: N}`.
+bool Decode(const DocNode& node, const std::string& path, DeadlineSpec& out,
+            ScenarioParseIssue* issue) {
+  if (node.kind != DocNode::Kind::kScalar) {
+    out.kind = DeadlineSpec::Kind::kMinutes;
+    return ReadRecord(node, path, kDeadlineMinutesFields, out, issue);
+  }
+  if (node.scalar == "tight" || node.scalar == "long") {
+    out.kind = node.scalar == "tight" ? DeadlineSpec::Kind::kTight : DeadlineSpec::Kind::kLong;
+    return true;
+  }
+  return Fail(issue, node.line, path,
+              "bad deadline \"" + node.scalar + "\" (tight, long, or {minutes: N})");
+}
+
+void Encode(std::string& out, const DeadlineSpec& deadline) {
+  switch (deadline.kind) {
+    case DeadlineSpec::Kind::kTight:
+      out += "\"tight\"";
+      return;
+    case DeadlineSpec::Kind::kLong:
+      out += "\"long\"";
+      return;
+    case DeadlineSpec::Kind::kMinutes:
+      WriteRecord(out, kDeadlineMinutesFields, deadline);
+      return;
+  }
+}
+
+// Exactly one of `period` and `poisson`.
+bool Decode(const DocNode& node, const std::string& path, ArrivalSpec& out,
+            ScenarioParseIssue* issue) {
   MapReader map(node, path, issue);
   if (!map.ok()) {
     return false;
   }
-  const DocNode* start = map.Get("start");
-  const DocNode* duration = map.Get("duration");
-  const DocNode* utilization = map.Get("utilization");
-  if (start == nullptr || duration == nullptr || utilization == nullptr) {
-    return Fail(issue, node.line, path,
-                "overload requires \"start\", \"duration\" and \"utilization\"");
+  const DocNode* period = map.Get("period");
+  const DocNode* poisson = map.Get("poisson");
+  if ((period == nullptr) == (poisson == nullptr)) {
+    return Fail(issue, node.line, path, "arrivals takes exactly one of \"period\" or \"poisson\"");
   }
-  if (!ReadDouble(*start, map.Sub("start"), &out->start_seconds, issue) ||
-      !ReadDouble(*duration, map.Sub("duration"), &out->duration_seconds, issue) ||
-      !ReadDouble(*utilization, map.Sub("utilization"), &out->utilization, issue)) {
-    return false;
-  }
-  if (out->start_seconds < 0.0) {
-    return Fail(issue, start->line, map.Sub("start"), "start must be >= 0");
-  }
-  if (out->duration_seconds <= 0.0) {
-    return Fail(issue, duration->line, map.Sub("duration"), "duration must be positive");
-  }
-  if (out->utilization <= 0.0) {
-    return Fail(issue, utilization->line, map.Sub("utilization"),
-                "utilization must be positive");
-  }
-  return map.Finish();
+  const char* key = period != nullptr ? "period" : "poisson";
+  out.kind = period != nullptr ? ArrivalSpec::Kind::kPeriodic : ArrivalSpec::Kind::kPoisson;
+  return DecodeInRange(period != nullptr ? *period : *poisson, map.Sub(key), key,
+                       Range::kPositive, out.value_seconds, issue) &&
+         map.Finish();
 }
 
-bool ParseFaultWindow(const DocNode& node, const std::string& path, FaultWindow* out,
-                      ScenarioParseIssue* issue) {
-  MapReader map(node, path, issue);
-  if (!map.ok()) {
-    return false;
-  }
-  const DocNode* kind = map.Get("kind");
-  const DocNode* start = map.Get("start");
-  const DocNode* end = map.Get("end");
-  if (kind == nullptr || start == nullptr || end == nullptr) {
-    return Fail(issue, node.line, path, "window requires \"kind\", \"start\" and \"end\"");
-  }
-  std::string kind_name;
-  if (!ReadString(*kind, map.Sub("kind"), &kind_name, issue)) {
-    return false;
-  }
-  std::optional<FaultKind> parsed = ParseFaultKind(kind_name);
-  if (!parsed.has_value()) {
-    return Fail(issue, kind->line, map.Sub("kind"), "unknown fault kind \"" + kind_name + "\"");
-  }
-  out->kind = *parsed;
-  if (!ReadDouble(*start, map.Sub("start"), &out->start_seconds, issue) ||
-      !ReadDouble(*end, map.Sub("end"), &out->end_seconds, issue)) {
-    return false;
-  }
-  if (const DocNode* magnitude = map.Get("magnitude")) {
-    if (!ReadDouble(*magnitude, map.Sub("magnitude"), &out->magnitude, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* job = map.Get("job")) {
-    if (!ReadInt(*job, map.Sub("job"), &out->job, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* first = map.Get("first_machine")) {
-    if (!ReadInt(*first, map.Sub("first_machine"), &out->first_machine, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* count = map.Get("machines")) {
-    if (!ReadInt(*count, map.Sub("machines"), &out->machine_count, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* period = map.Get("period")) {
-    if (!ReadDouble(*period, map.Sub("period"), &out->period_seconds, issue)) {
-      return false;
-    }
-  }
-  return map.Finish();
+void Encode(std::string& out, const ArrivalSpec& arrivals) {
+  out += '{';
+  EncodeField(out, arrivals.kind == ArrivalSpec::Kind::kPeriodic ? "period" : "poisson",
+              arrivals.value_seconds);
+  out += '}';
 }
 
-bool ParseFaults(const DocNode& node, const std::string& path, FaultSpec* out,
-                 ScenarioParseIssue* issue) {
+// Exactly one of `class`, `plan` and `windows` (with an optional `seed`).
+bool Decode(const DocNode& node, const std::string& path, FaultSpec& out,
+            ScenarioParseIssue* issue) {
   MapReader map(node, path, issue);
   if (!map.ok()) {
     return false;
@@ -321,253 +568,98 @@ bool ParseFaults(const DocNode& node, const std::string& path, FaultSpec* out,
   const DocNode* class_name = map.Get("class");
   const DocNode* plan = map.Get("plan");
   const DocNode* windows = map.Get("windows");
-  int forms = (class_name != nullptr) + (plan != nullptr) + (windows != nullptr);
-  if (forms != 1) {
+  if ((class_name != nullptr) + (plan != nullptr) + (windows != nullptr) != 1) {
     return Fail(issue, node.line, path,
                 "faults takes exactly one of \"class\", \"plan\" or \"windows\"");
   }
   if (class_name != nullptr) {
-    out->kind = FaultSpec::Kind::kClass;
-    if (!ReadString(*class_name, map.Sub("class"), &out->class_name, issue)) {
+    out.kind = FaultSpec::Kind::kClass;
+    if (!Decode(*class_name, map.Sub("class"), out.class_name, issue)) {
       return false;
     }
     bool known = false;
     for (const std::string& name : ChaosClassNames()) {
-      known = known || name == out->class_name;
+      known = known || name == out.class_name;
     }
     if (!known) {
       return Fail(issue, class_name->line, map.Sub("class"),
-                  "unknown fault class \"" + out->class_name + "\"");
+                  "unknown fault class \"" + out.class_name + "\"");
     }
     return map.Finish();
   }
   if (plan != nullptr) {
-    out->kind = FaultSpec::Kind::kFile;
-    if (!ReadString(*plan, map.Sub("plan"), &out->plan_path, issue)) {
-      return false;
-    }
-    if (out->plan_path.empty()) {
-      return Fail(issue, plan->line, map.Sub("plan"), "plan path must be non-empty");
-    }
-    return map.Finish();
+    out.kind = FaultSpec::Kind::kFile;
+    return DecodeInRange(*plan, map.Sub("plan"), "plan", Range::kNonEmpty, out.plan_path,
+                         issue) &&
+           map.Finish();
   }
-  out->kind = FaultSpec::Kind::kInline;
+  out.kind = FaultSpec::Kind::kInline;
   uint64_t seed = 1;
   if (const DocNode* seed_node = map.Get("seed")) {
-    if (!ReadUint64(*seed_node, map.Sub("seed"), &seed, issue)) {
+    if (!Decode(*seed_node, map.Sub("seed"), seed, issue)) {
       return false;
     }
   }
-  out->inline_plan = FaultPlan(seed);
-  if (windows->kind != DocNode::Kind::kList) {
-    return Fail(issue, windows->line, map.Sub("windows"), "expected a list of windows");
-  }
-  if (windows->items.empty()) {
-    return Fail(issue, windows->line, map.Sub("windows"), "windows must be non-empty");
+  out.inline_plan = FaultPlan(seed);
+  if (windows->kind != DocNode::Kind::kList || windows->items.empty()) {
+    return Fail(issue, windows->line, map.Sub("windows"), "expected a non-empty list of windows");
   }
   for (size_t i = 0; i < windows->items.size(); ++i) {
     FaultWindow window;
     std::string window_path = map.Sub("windows") + "[" + std::to_string(i) + "]";
-    if (!ParseFaultWindow(windows->items[i], window_path, &window, issue)) {
+    if (!ReadRecord(windows->items[i], window_path, kFaultWindowFields, window, issue)) {
       return false;
     }
-    out->inline_plan.Add(window);
+    out.inline_plan.Add(window);
   }
-  std::string error = out->inline_plan.Validate();
+  std::string error = out.inline_plan.Validate();
   if (!error.empty()) {
     return Fail(issue, windows->line, map.Sub("windows"), error);
   }
   return map.Finish();
 }
 
-bool ParseControl(const DocNode& node, const std::string& path, ControlSpec* out,
-                  ScenarioParseIssue* issue) {
-  MapReader map(node, path, issue);
-  if (!map.ok()) {
-    return false;
+void Encode(std::string& out, const FaultSpec& faults) {
+  out += '{';
+  switch (faults.kind) {
+    case FaultSpec::Kind::kClass:
+      EncodeField(out, "class", faults.class_name);
+      break;
+    case FaultSpec::Kind::kFile:
+      EncodeField(out, "plan", faults.plan_path);
+      break;
+    case FaultSpec::Kind::kInline:
+      EncodeField(out, "seed", faults.inline_plan.seed());
+      AppendKey(out, "windows");
+      out += '[';
+      for (const FaultWindow& window : faults.inline_plan.windows()) {
+        Separate(out);
+        WriteRecord(out, kFaultWindowFields, window);
+      }
+      out += ']';
+      break;
   }
-  if (const DocNode* period = map.Get("period_seconds")) {
-    double value = 0.0;
-    if (!ReadDouble(*period, map.Sub("period_seconds"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, period->line, map.Sub("period_seconds"), "period must be positive");
-    }
-    out->period_seconds = value;
-  }
-  if (const DocNode* tokens = map.Get("max_tokens")) {
-    int value = 0;
-    if (!ReadInt(*tokens, map.Sub("max_tokens"), &value, issue)) {
-      return false;
-    }
-    if (value < 1) {
-      return Fail(issue, tokens->line, map.Sub("max_tokens"), "max_tokens must be >= 1");
-    }
-    out->max_tokens = value;
-  }
-  if (const DocNode* slack = map.Get("slack")) {
-    double value = 0.0;
-    if (!ReadDouble(*slack, map.Sub("slack"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, slack->line, map.Sub("slack"), "slack must be positive");
-    }
-    out->slack = value;
-  }
-  if (const DocNode* alpha = map.Get("hysteresis_alpha")) {
-    double value = 0.0;
-    if (!ReadDouble(*alpha, map.Sub("hysteresis_alpha"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0 || value > 1.0) {
-      return Fail(issue, alpha->line, map.Sub("hysteresis_alpha"),
-                  "hysteresis_alpha must be in (0, 1]");
-    }
-    out->hysteresis_alpha = value;
-  }
-  if (const DocNode* dead_zone = map.Get("dead_zone_seconds")) {
-    double value = 0.0;
-    if (!ReadDouble(*dead_zone, map.Sub("dead_zone_seconds"), &value, issue)) {
-      return false;
-    }
-    if (value < 0.0) {
-      return Fail(issue, dead_zone->line, map.Sub("dead_zone_seconds"),
-                  "dead_zone_seconds must be >= 0");
-    }
-    out->dead_zone_seconds = value;
-  }
-  if (const DocNode* hold = map.Get("stale_hold_seconds")) {
-    double value = 0.0;
-    if (!ReadDouble(*hold, map.Sub("stale_hold_seconds"), &value, issue)) {
-      return false;
-    }
-    if (value < 0.0) {
-      return Fail(issue, hold->line, map.Sub("stale_hold_seconds"),
-                  "stale_hold_seconds must be >= 0");
-    }
-    out->stale_hold_seconds = value;
-  }
-  if (const DocNode* rate = map.Get("blind_escalation_rate")) {
-    double value = 0.0;
-    if (!ReadDouble(*rate, map.Sub("blind_escalation_rate"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0 || value > 1.0) {
-      return Fail(issue, rate->line, map.Sub("blind_escalation_rate"),
-                  "blind_escalation_rate must be in (0, 1]");
-    }
-    out->blind_escalation_rate = value;
-  }
-  if (const DocNode* gap = map.Get("blackout_gap_factor")) {
-    double value = 0.0;
-    if (!ReadDouble(*gap, map.Sub("blackout_gap_factor"), &value, issue)) {
-      return false;
-    }
-    if (value <= 1.0) {
-      return Fail(issue, gap->line, map.Sub("blackout_gap_factor"),
-                  "blackout_gap_factor must be > 1");
-    }
-    out->blackout_gap_factor = value;
-  }
-  if (const DocNode* ewma = map.Get("grant_ratio_ewma")) {
-    double value = 0.0;
-    if (!ReadDouble(*ewma, map.Sub("grant_ratio_ewma"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0 || value > 1.0) {
-      return Fail(issue, ewma->line, map.Sub("grant_ratio_ewma"),
-                  "grant_ratio_ewma must be in (0, 1]");
-    }
-    out->grant_ratio_ewma = value;
-  }
-  if (const DocNode* cache = map.Get("decision_cache")) {
-    bool value = false;
-    if (!ReadBool(*cache, map.Sub("decision_cache"), &value, issue)) {
-      return false;
-    }
-    out->decision_cache = value;
-  }
-  return map.Finish();
+  out += '}';
 }
 
-bool ParseRandomJob(const DocNode& node, const std::string& path, RandomJobSpec* out,
-                    ScenarioParseIssue* issue) {
+bool ReadRandomJob(const DocNode& node, const std::string& path, RandomJobSpec& out,
+                   ScenarioParseIssue* issue) {
   MapReader map(node, path, issue);
-  if (!map.ok()) {
+  if (!map.ok() || !ReadFields(map, kRandomJobFields, out, issue) ||
+      !ReadFields(map, kRandomJobParamsFields, out.params, issue)) {
     return false;
   }
-  if (const DocNode* name = map.Get("name")) {
-    if (!ReadString(*name, map.Sub("name"), &out->name, issue)) {
-      return false;
-    }
-    if (out->name.empty()) {
-      return Fail(issue, name->line, map.Sub("name"), "name must be non-empty");
-    }
-  }
-  if (const DocNode* seed = map.Get("seed")) {
-    if (!ReadUint64(*seed, map.Sub("seed"), &out->seed, issue)) {
-      return false;
-    }
-  }
-  struct IntField {
-    const char* key;
-    int* value;
-  };
-  for (const IntField& field : {IntField{"min_stages", &out->params.min_stages},
-                                IntField{"max_stages", &out->params.max_stages},
-                                IntField{"min_vertices", &out->params.min_vertices},
-                                IntField{"max_vertices", &out->params.max_vertices}}) {
-    if (const DocNode* value = map.Get(field.key)) {
-      if (!ReadInt(*value, map.Sub(field.key), field.value, issue)) {
-        return false;
-      }
-      if (*field.value < 1) {
-        return Fail(issue, value->line, map.Sub(field.key), "must be >= 1");
-      }
-    }
-  }
-  struct DoubleField {
-    const char* key;
-    double* value;
-  };
-  for (const DoubleField& field :
-       {DoubleField{"min_median_seconds", &out->params.min_median_seconds},
-        DoubleField{"max_median_seconds", &out->params.max_median_seconds}}) {
-    if (const DocNode* value = map.Get(field.key)) {
-      if (!ReadDouble(*value, map.Sub(field.key), field.value, issue)) {
-        return false;
-      }
-      if (*field.value <= 0.0) {
-        return Fail(issue, value->line, map.Sub(field.key), "must be positive");
-      }
-    }
-  }
-  if (out->params.min_stages > out->params.max_stages ||
-      out->params.min_vertices > out->params.max_vertices ||
-      out->params.min_median_seconds > out->params.max_median_seconds) {
+  if (out.params.min_stages > out.params.max_stages ||
+      out.params.min_vertices > out.params.max_vertices ||
+      out.params.min_median_seconds > out.params.max_median_seconds) {
     return Fail(issue, node.line, path, "random job bounds must satisfy min <= max");
   }
   return map.Finish();
 }
 
-bool ParsePolicy(const DocNode& node, const std::string& path, PolicyKind* out,
-                 ScenarioParseIssue* issue) {
-  std::string token;
-  if (!ReadString(node, path, &token, issue)) {
-    return false;
-  }
-  std::optional<PolicyKind> policy = ParsePolicyKind(token);
-  if (!policy.has_value()) {
-    return Fail(issue, node.line, path, "unknown policy \"" + token + "\"");
-  }
-  *out = *policy;
-  return true;
-}
-
-bool ParseWorkloadEntry(const DocNode& node, const std::string& path,
-                        WorkloadEntrySpec* out, ScenarioParseIssue* issue) {
+// Exactly one of `job` (a Table 2 letter) and `random`, then the entry's table.
+bool ReadWorkloadEntry(const DocNode& node, const std::string& path, WorkloadEntrySpec& out,
+                       ScenarioParseIssue* issue) {
   MapReader map(node, path, issue);
   if (!map.ok()) {
     return false;
@@ -578,256 +670,51 @@ bool ParseWorkloadEntry(const DocNode& node, const std::string& path,
     return Fail(issue, node.line, path, "entry takes exactly one of \"job\" or \"random\"");
   }
   if (job != nullptr) {
-    if (!ReadString(*job, map.Sub("job"), &out->job.letter, issue)) {
+    if (!Decode(*job, map.Sub("job"), out.job.letter, issue)) {
       return false;
     }
-    if (out->job.letter.size() != 1 || out->job.letter[0] < 'A' || out->job.letter[0] > 'G') {
+    if (out.job.letter.size() != 1 || out.job.letter[0] < 'A' || out.job.letter[0] > 'G') {
       return Fail(issue, job->line, map.Sub("job"),
-                  "unknown job \"" + out->job.letter + "\" (A..G)");
+                  "unknown job \"" + out.job.letter + "\" (A..G)");
     }
+  } else if (!ReadRandomJob(*random, map.Sub("random"), out.job.random.emplace(), issue)) {
+    return false;
+  }
+  return ReadFields(map, kEntryFields, out, issue) && map.Finish();
+}
+
+void WriteWorkloadEntry(std::string& out, const WorkloadEntrySpec& entry) {
+  out += '{';
+  if (!entry.job.letter.empty()) {
+    EncodeField(out, "job", entry.job.letter);
   } else {
-    RandomJobSpec spec;
-    if (!ParseRandomJob(*random, map.Sub("random"), &spec, issue)) {
-      return false;
-    }
-    out->job.random = std::move(spec);
+    AppendKey(out, "random");
+    out += '{';
+    WriteFields(out, kRandomJobFields, *entry.job.random);
+    WriteFields(out, kRandomJobParamsFields, entry.job.random->params);
+    out += '}';
   }
-  if (const DocNode* deadline = map.Get("deadline")) {
-    if (!ParseDeadline(*deadline, map.Sub("deadline"), &out->deadline, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* repeats = map.Get("repeats")) {
-    int value = 0;
-    if (!ReadInt(*repeats, map.Sub("repeats"), &value, issue)) {
-      return false;
-    }
-    if (value < 1) {
-      return Fail(issue, repeats->line, map.Sub("repeats"), "repeats must be >= 1");
-    }
-    out->repeats = value;
-  }
-  if (const DocNode* seed = map.Get("seed")) {
-    uint64_t value = 0;
-    if (!ReadUint64(*seed, map.Sub("seed"), &value, issue)) {
-      return false;
-    }
-    out->seed = value;
-  }
-  if (const DocNode* scale = map.Get("input_scale")) {
-    double value = 0.0;
-    if (!ReadDouble(*scale, map.Sub("input_scale"), &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, scale->line, map.Sub("input_scale"), "input_scale must be positive");
-    }
-    out->input_scale = value;
-  }
-  if (const DocNode* jitter = map.Get("jitter_input")) {
-    bool value = false;
-    if (!ReadBool(*jitter, map.Sub("jitter_input"), &value, issue)) {
-      return false;
-    }
-    out->jitter_input = value;
-  }
-  if (const DocNode* policy = map.Get("policy")) {
-    PolicyKind value = PolicyKind::kJockey;
-    if (!ParsePolicy(*policy, map.Sub("policy"), &value, issue)) {
-      return false;
-    }
-    out->policy = value;
-  }
-  if (const DocNode* hardened = map.Get("hardened")) {
-    bool value = false;
-    if (!ReadBool(*hardened, map.Sub("hardened"), &value, issue)) {
-      return false;
-    }
-    out->hardened = value;
-  }
-  if (const DocNode* overload = map.Get("overload")) {
-    OverloadSpec value;
-    if (!ParseOverload(*overload, map.Sub("overload"), &value, issue)) {
-      return false;
-    }
-    out->overload = value;
-  }
-  if (const DocNode* change = map.Get("deadline_change")) {
-    DeadlineChangeSpec value;
-    if (!ParseDeadlineChange(*change, map.Sub("deadline_change"), &value, issue)) {
-      return false;
-    }
-    out->deadline_change = value;
-  }
-  if (const DocNode* faults = map.Get("faults")) {
-    FaultSpec value;
-    if (!ParseFaults(*faults, map.Sub("faults"), &value, issue)) {
-      return false;
-    }
-    out->faults = std::move(value);
-  }
-  return map.Finish();
+  WriteFields(out, kEntryFields, entry);
+  out += '}';
 }
 
-bool ParsePhase(const DocNode& node, const std::string& path, PhaseSpec* out,
-                ScenarioParseIssue* issue) {
-  MapReader map(node, path, issue);
-  if (!map.ok()) {
-    return false;
-  }
-  const DocNode* name = map.Get("name");
-  const DocNode* duration = map.Get("duration");
-  if (name == nullptr || duration == nullptr) {
-    return Fail(issue, node.line, path, "phase requires \"name\" and \"duration\"");
-  }
-  if (!ReadString(*name, map.Sub("name"), &out->name, issue)) {
-    return false;
-  }
-  if (out->name.empty()) {
-    return Fail(issue, name->line, map.Sub("name"), "phase name must be non-empty");
-  }
-  if (!ReadDouble(*duration, map.Sub("duration"), &out->duration_seconds, issue)) {
-    return false;
-  }
-  if (out->duration_seconds <= 0.0) {
-    return Fail(issue, duration->line, map.Sub("duration"), "duration must be positive");
-  }
-  if (const DocNode* utilization = map.Get("utilization")) {
-    double value = 0.0;
-    if (!ReadDouble(*utilization, map.Sub("utilization"), &value, issue)) {
+// A list under `key` whose items each parse into `out` via `read`.
+template <typename T, typename Read>
+bool ReadList(const DocNode& list, const char* key, std::vector<T>& out, Read read,
+              ScenarioParseIssue* issue) {
+  for (size_t i = 0; i < list.items.size(); ++i) {
+    std::string path = std::string(key) + "[" + std::to_string(i) + "]";
+    if (!read(list.items[i], path, out.emplace_back(), issue)) {
       return false;
     }
-    if (value <= 0.0) {
-      return Fail(issue, utilization->line, map.Sub("utilization"),
-                  "utilization must be positive");
-    }
-    out->utilization = value;
   }
-  const DocNode* arrivals = map.Get("arrivals");
-  if (arrivals == nullptr) {
-    return Fail(issue, node.line, path, "phase requires \"arrivals\"");
-  }
-  MapReader arrival_map(*arrivals, map.Sub("arrivals"), issue);
-  if (!arrival_map.ok()) {
-    return false;
-  }
-  const DocNode* period = arrival_map.Get("period");
-  const DocNode* poisson = arrival_map.Get("poisson");
-  if ((period == nullptr) == (poisson == nullptr)) {
-    return Fail(issue, arrivals->line, map.Sub("arrivals"),
-                "arrivals takes exactly one of \"period\" or \"poisson\"");
-  }
-  const DocNode* value_node = period != nullptr ? period : poisson;
-  const char* key = period != nullptr ? "period" : "poisson";
-  out->arrivals.kind =
-      period != nullptr ? ArrivalSpec::Kind::kPeriodic : ArrivalSpec::Kind::kPoisson;
-  if (!ReadDouble(*value_node, arrival_map.Sub(key), &out->arrivals.value_seconds, issue)) {
-    return false;
-  }
-  if (out->arrivals.value_seconds <= 0.0) {
-    return Fail(issue, value_node->line, arrival_map.Sub(key), "must be positive");
-  }
-  if (!arrival_map.Finish()) {
-    return false;
-  }
-  return map.Finish();
+  return true;
 }
 
-bool ParseScenario(const DocNode& root, ScenarioSpec* out, ScenarioParseIssue* issue) {
+bool ReadScenario(const DocNode& root, ScenarioSpec& out, ScenarioParseIssue* issue) {
   MapReader map(root, "", issue);
-  if (!map.ok()) {
+  if (!map.ok() || !ReadFields(map, kScenarioFields, out, issue)) {
     return false;
-  }
-  const DocNode* name = map.Get("name");
-  if (name == nullptr) {
-    return Fail(issue, root.line, "name", "scenario requires \"name\"");
-  }
-  if (!ReadString(*name, "name", &out->name, issue)) {
-    return false;
-  }
-  if (out->name.empty()) {
-    return Fail(issue, name->line, "name", "name must be non-empty");
-  }
-  if (const DocNode* seed = map.Get("seed")) {
-    if (!ReadUint64(*seed, "seed", &out->seed, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* repeats = map.Get("repeats")) {
-    if (!ReadInt(*repeats, "repeats", &out->repeats, issue)) {
-      return false;
-    }
-    if (out->repeats < 1) {
-      return Fail(issue, repeats->line, "repeats", "repeats must be >= 1");
-    }
-  }
-  if (const DocNode* policy = map.Get("policy")) {
-    if (!ParsePolicy(*policy, "policy", &out->policy, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* jitter = map.Get("jitter_input")) {
-    if (!ReadBool(*jitter, "jitter_input", &out->jitter_input, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* hardened = map.Get("hardened")) {
-    if (!ReadBool(*hardened, "hardened", &out->hardened, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* spare = map.Get("use_spare_tokens")) {
-    if (!ReadBool(*spare, "use_spare_tokens", &out->use_spare_tokens, issue)) {
-      return false;
-    }
-  }
-  if (const DocNode* tokens = map.Get("fixed_tokens")) {
-    int value = 0;
-    if (!ReadInt(*tokens, "fixed_tokens", &value, issue)) {
-      return false;
-    }
-    if (value < 1) {
-      return Fail(issue, tokens->line, "fixed_tokens", "fixed_tokens must be >= 1");
-    }
-    out->fixed_tokens = value;
-  }
-  if (const DocNode* scale = map.Get("input_scale")) {
-    double value = 0.0;
-    if (!ReadDouble(*scale, "input_scale", &value, issue)) {
-      return false;
-    }
-    if (value <= 0.0) {
-      return Fail(issue, scale->line, "input_scale", "input_scale must be positive");
-    }
-    out->input_scale = value;
-  }
-  if (const DocNode* overload = map.Get("overload")) {
-    OverloadSpec value;
-    if (!ParseOverload(*overload, "overload", &value, issue)) {
-      return false;
-    }
-    out->overload = value;
-  }
-  if (const DocNode* change = map.Get("deadline_change")) {
-    DeadlineChangeSpec value;
-    if (!ParseDeadlineChange(*change, "deadline_change", &value, issue)) {
-      return false;
-    }
-    out->deadline_change = value;
-  }
-  if (const DocNode* faults = map.Get("faults")) {
-    FaultSpec value;
-    if (!ParseFaults(*faults, "faults", &value, issue)) {
-      return false;
-    }
-    out->faults = std::move(value);
-  }
-  if (const DocNode* control = map.Get("control")) {
-    ControlSpec value;
-    if (!ParseControl(*control, "control", &value, issue)) {
-      return false;
-    }
-    out->control = value;
   }
   const DocNode* workload = map.Get("workload");
   if (workload == nullptr) {
@@ -836,208 +723,76 @@ bool ParseScenario(const DocNode& root, ScenarioSpec* out, ScenarioParseIssue* i
   if (workload->kind != DocNode::Kind::kList || workload->items.empty()) {
     return Fail(issue, workload->line, "workload", "workload must be a non-empty list");
   }
-  for (size_t i = 0; i < workload->items.size(); ++i) {
-    WorkloadEntrySpec entry;
-    std::string path = "workload[" + std::to_string(i) + "]";
-    if (!ParseWorkloadEntry(workload->items[i], path, &entry, issue)) {
-      return false;
-    }
-    out->workload.push_back(std::move(entry));
+  if (!ReadList(*workload, "workload", out.workload, ReadWorkloadEntry, issue)) {
+    return false;
   }
   if (const DocNode* phases = map.Get("phases")) {
     if (phases->kind != DocNode::Kind::kList) {
       return Fail(issue, phases->line, "phases", "phases must be a list");
     }
-    for (size_t i = 0; i < phases->items.size(); ++i) {
-      PhaseSpec phase;
-      std::string path = "phases[" + std::to_string(i) + "]";
-      if (!ParsePhase(phases->items[i], path, &phase, issue)) {
-        return false;
-      }
-      out->phases.push_back(std::move(phase));
+    auto read_phase = [](const DocNode& node, const std::string& path, PhaseSpec& phase,
+                         ScenarioParseIssue* phase_issue) {
+      return ReadRecord(node, path, kPhaseFields, phase, phase_issue);
+    };
+    if (!ReadList(*phases, "phases", out.phases, read_phase, issue)) {
+      return false;
     }
   }
   if (!map.Finish()) {
     return false;
   }
   // Cross-field check: a fixed policy anywhere needs the token count.
-  bool any_fixed = out->policy == PolicyKind::kFixed;
-  for (const WorkloadEntrySpec& entry : out->workload) {
+  bool any_fixed = out.policy == PolicyKind::kFixed;
+  for (const WorkloadEntrySpec& entry : out.workload) {
     any_fixed = any_fixed || (entry.policy.has_value() && *entry.policy == PolicyKind::kFixed);
   }
-  if (any_fixed && !out->fixed_tokens.has_value()) {
-    return Fail(issue, root.line, "fixed_tokens",
-                "policy \"fixed\" requires \"fixed_tokens\"");
+  if (any_fixed && !out.fixed_tokens.has_value()) {
+    return Fail(issue, root.line, "fixed_tokens", "policy \"fixed\" requires \"fixed_tokens\"");
   }
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Canonical JSON writer.
+// Whether knob member M sets target T, a member of Config.
+template <typename M, typename T, typename Config>
+constexpr bool kSets = false;
+template <typename V, typename Config>
+constexpr bool kSets<std::optional<V> ControlSpec::*, V Config::*, Config> = true;
 
-void WriteOverload(std::ostringstream& os, const OverloadSpec& overload) {
-  os << "{\"start\":" << JsonNumber(overload.start_seconds)
-     << ",\"duration\":" << JsonNumber(overload.duration_seconds)
-     << ",\"utilization\":" << JsonNumber(overload.utilization) << "}";
+// Calls `on(member, target)` for each knob that sets a Config member.
+template <typename Config, typename On>
+void ForEachKnobOf(On on) {
+  for (const ControlKnob& knob : kControlKnobs) {
+    std::visit(
+        [&](auto member, auto target) {
+          if constexpr (kSets<decltype(member), decltype(target), Config>) {
+            on(member, target);
+          }
+        },
+        knob.member, knob.sets);
+  }
 }
 
-void WriteDeadlineChange(std::ostringstream& os, const DeadlineChangeSpec& change) {
-  os << "{\"at\":" << JsonNumber(change.at_seconds);
-  if (change.factor.has_value()) {
-    os << ",\"factor\":" << JsonNumber(*change.factor);
-  } else {
-    os << ",\"minutes\":" << JsonNumber(*change.minutes);
-  }
-  os << "}";
-}
-
-void WriteFaults(std::ostringstream& os, const FaultSpec& faults) {
-  switch (faults.kind) {
-    case FaultSpec::Kind::kClass:
-      os << "{\"class\":" << JsonString(faults.class_name) << "}";
-      return;
-    case FaultSpec::Kind::kFile:
-      os << "{\"plan\":" << JsonString(faults.plan_path) << "}";
-      return;
-    case FaultSpec::Kind::kInline:
-      break;
-  }
-  os << "{\"seed\":" << faults.inline_plan.seed() << ",\"windows\":[";
-  bool first = true;
-  for (const FaultWindow& window : faults.inline_plan.windows()) {
-    if (!first) {
-      os << ",";
+template <typename Config>
+void ApplyKnobs(const ControlSpec& spec, Config& config) {
+  ForEachKnobOf<Config>([&](auto member, auto target) {
+    if ((spec.*member).has_value()) {
+      config.*target = *(spec.*member);
     }
-    first = false;
-    os << "{\"kind\":" << JsonString(FaultKindName(window.kind))
-       << ",\"start\":" << JsonNumber(window.start_seconds)
-       << ",\"end\":" << JsonNumber(window.end_seconds)
-       << ",\"magnitude\":" << JsonNumber(window.magnitude) << ",\"job\":" << window.job
-       << ",\"first_machine\":" << window.first_machine
-       << ",\"machines\":" << window.machine_count
-       << ",\"period\":" << JsonNumber(window.period_seconds) << "}";
-  }
-  os << "]}";
-}
-
-void WriteDeadline(std::ostringstream& os, const DeadlineSpec& deadline) {
-  switch (deadline.kind) {
-    case DeadlineSpec::Kind::kTight:
-      os << "\"tight\"";
-      return;
-    case DeadlineSpec::Kind::kLong:
-      os << "\"long\"";
-      return;
-    case DeadlineSpec::Kind::kMinutes:
-      os << "{\"minutes\":" << JsonNumber(deadline.minutes) << "}";
-      return;
-  }
-}
-
-void WriteControl(std::ostringstream& os, const ControlSpec& control) {
-  os << "{";
-  bool first = true;
-  auto field = [&](const char* key, const std::string& value) {
-    if (!first) {
-      os << ",";
-    }
-    first = false;
-    os << "\"" << key << "\":" << value;
-  };
-  if (control.period_seconds.has_value()) {
-    field("period_seconds", JsonNumber(*control.period_seconds));
-  }
-  if (control.max_tokens.has_value()) {
-    field("max_tokens", std::to_string(*control.max_tokens));
-  }
-  if (control.slack.has_value()) {
-    field("slack", JsonNumber(*control.slack));
-  }
-  if (control.hysteresis_alpha.has_value()) {
-    field("hysteresis_alpha", JsonNumber(*control.hysteresis_alpha));
-  }
-  if (control.dead_zone_seconds.has_value()) {
-    field("dead_zone_seconds", JsonNumber(*control.dead_zone_seconds));
-  }
-  if (control.stale_hold_seconds.has_value()) {
-    field("stale_hold_seconds", JsonNumber(*control.stale_hold_seconds));
-  }
-  if (control.blind_escalation_rate.has_value()) {
-    field("blind_escalation_rate", JsonNumber(*control.blind_escalation_rate));
-  }
-  if (control.blackout_gap_factor.has_value()) {
-    field("blackout_gap_factor", JsonNumber(*control.blackout_gap_factor));
-  }
-  if (control.grant_ratio_ewma.has_value()) {
-    field("grant_ratio_ewma", JsonNumber(*control.grant_ratio_ewma));
-  }
-  if (control.decision_cache.has_value()) {
-    field("decision_cache", *control.decision_cache ? "true" : "false");
-  }
-  os << "}";
-}
-
-void WriteEntry(std::ostringstream& os, const WorkloadEntrySpec& entry) {
-  os << "{";
-  if (!entry.job.letter.empty()) {
-    os << "\"job\":" << JsonString(entry.job.letter);
-  } else {
-    const RandomJobSpec& random = *entry.job.random;
-    os << "\"random\":{\"name\":" << JsonString(random.name) << ",\"seed\":" << random.seed
-       << ",\"min_stages\":" << random.params.min_stages
-       << ",\"max_stages\":" << random.params.max_stages
-       << ",\"min_vertices\":" << random.params.min_vertices
-       << ",\"max_vertices\":" << random.params.max_vertices
-       << ",\"min_median_seconds\":" << JsonNumber(random.params.min_median_seconds)
-       << ",\"max_median_seconds\":" << JsonNumber(random.params.max_median_seconds) << "}";
-  }
-  os << ",\"deadline\":";
-  WriteDeadline(os, entry.deadline);
-  if (entry.repeats.has_value()) {
-    os << ",\"repeats\":" << *entry.repeats;
-  }
-  if (entry.seed.has_value()) {
-    os << ",\"seed\":" << *entry.seed;
-  }
-  if (entry.input_scale.has_value()) {
-    os << ",\"input_scale\":" << JsonNumber(*entry.input_scale);
-  }
-  if (entry.jitter_input.has_value()) {
-    os << ",\"jitter_input\":" << (*entry.jitter_input ? "true" : "false");
-  }
-  if (entry.policy.has_value()) {
-    os << ",\"policy\":" << JsonString(PolicyId(*entry.policy));
-  }
-  if (entry.hardened.has_value()) {
-    os << ",\"hardened\":" << (*entry.hardened ? "true" : "false");
-  }
-  if (entry.overload.has_value()) {
-    os << ",\"overload\":";
-    WriteOverload(os, *entry.overload);
-  }
-  if (entry.deadline_change.has_value()) {
-    os << ",\"deadline_change\":";
-    WriteDeadlineChange(os, *entry.deadline_change);
-  }
-  if (entry.faults.has_value()) {
-    os << ",\"faults\":";
-    WriteFaults(os, *entry.faults);
-  }
-  os << "}";
-}
-
-void WritePhase(std::ostringstream& os, const PhaseSpec& phase) {
-  os << "{\"name\":" << JsonString(phase.name)
-     << ",\"duration\":" << JsonNumber(phase.duration_seconds);
-  if (phase.utilization.has_value()) {
-    os << ",\"utilization\":" << JsonNumber(*phase.utilization);
-  }
-  os << ",\"arrivals\":{\""
-     << (phase.arrivals.kind == ArrivalSpec::Kind::kPeriodic ? "period" : "poisson")
-     << "\":" << JsonNumber(phase.arrivals.value_seconds) << "}}";
+  });
 }
 
 }  // namespace
+
+bool ControlSpec::OverridesController() const {
+  bool set = false;
+  ForEachKnobOf<ControlLoopConfig>(
+      [&](auto member, auto) { set = set || (this->*member).has_value(); });
+  return set;
+}
+
+void ControlSpec::ApplyTo(ControlLoopConfig& config) const { ApplyKnobs(*this, config); }
+
+void ControlSpec::ApplyTo(ExperimentOptions& options) const { ApplyKnobs(*this, options); }
 
 ScenarioParseResult ParseScenarioText(const std::string& text) {
   ScenarioParseResult result;
@@ -1049,7 +804,7 @@ ScenarioParseResult ParseScenarioText(const std::string& text) {
   }
   ScenarioSpec spec;
   ScenarioParseIssue issue;
-  if (!ParseScenario(*root, &spec, &issue)) {
+  if (!ReadScenario(*root, spec, &issue)) {
     result.issue = std::move(issue);
     return result;
   }
@@ -1058,54 +813,26 @@ ScenarioParseResult ParseScenarioText(const std::string& text) {
 }
 
 std::string WriteScenarioJson(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << "{\"name\":" << JsonString(spec.name) << ",\"seed\":" << spec.seed
-     << ",\"repeats\":" << spec.repeats << ",\"policy\":" << JsonString(PolicyId(spec.policy))
-     << ",\"jitter_input\":" << (spec.jitter_input ? "true" : "false")
-     << ",\"hardened\":" << (spec.hardened ? "true" : "false")
-     << ",\"use_spare_tokens\":" << (spec.use_spare_tokens ? "true" : "false");
-  if (spec.fixed_tokens.has_value()) {
-    os << ",\"fixed_tokens\":" << *spec.fixed_tokens;
+  std::string out = "{";
+  WriteFields(out, kScenarioFields, spec);
+  AppendKey(out, "workload");
+  out += '[';
+  for (const WorkloadEntrySpec& entry : spec.workload) {
+    Separate(out);
+    WriteWorkloadEntry(out, entry);
   }
-  if (spec.input_scale.has_value()) {
-    os << ",\"input_scale\":" << JsonNumber(*spec.input_scale);
-  }
-  if (spec.overload.has_value()) {
-    os << ",\"overload\":";
-    WriteOverload(os, *spec.overload);
-  }
-  if (spec.deadline_change.has_value()) {
-    os << ",\"deadline_change\":";
-    WriteDeadlineChange(os, *spec.deadline_change);
-  }
-  if (spec.faults.has_value()) {
-    os << ",\"faults\":";
-    WriteFaults(os, *spec.faults);
-  }
-  if (spec.control.has_value()) {
-    os << ",\"control\":";
-    WriteControl(os, *spec.control);
-  }
-  os << ",\"workload\":[";
-  for (size_t i = 0; i < spec.workload.size(); ++i) {
-    if (i > 0) {
-      os << ",";
-    }
-    WriteEntry(os, spec.workload[i]);
-  }
-  os << "]";
+  out += ']';
   if (!spec.phases.empty()) {
-    os << ",\"phases\":[";
-    for (size_t i = 0; i < spec.phases.size(); ++i) {
-      if (i > 0) {
-        os << ",";
-      }
-      WritePhase(os, spec.phases[i]);
+    AppendKey(out, "phases");
+    out += '[';
+    for (const PhaseSpec& phase : spec.phases) {
+      Separate(out);
+      WriteRecord(out, kPhaseFields, phase);
     }
-    os << "]";
+    out += ']';
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
 }
 
 std::string FormatScenarioIssue(const std::string& path, const ScenarioParseIssue& issue) {

@@ -8,11 +8,13 @@
 // harness; nothing below this layer reads scenario syntax.
 //
 // Parsing is strict: unknown keys are rejected, every value is type- and
-// range-checked, and the first problem is reported as a ScenarioParseIssue carrying
-// the 1-based source line and the offending field path ("workload[0].deadline"),
-// mirroring how trace reading reports TraceParseIssue. WriteScenarioJson emits the
-// canonical JSON form — deterministic bytes, reparseable by ParseScenarioText — so
-// spec -> JSON -> spec round-trips are testable as byte identities.
+// range-checked (numbers with json_format's strict JSON grammar: finite decimals,
+// integers that fit their field), and the first problem is reported as a
+// ScenarioParseIssue carrying the 1-based source line and the offending field path
+// ("workload[0].deadline"), mirroring how trace reading reports TraceParseIssue.
+// WriteScenarioJson emits the canonical JSON form — deterministic bytes, reparseable
+// by ParseScenarioText — so spec -> JSON -> spec round-trips are testable as byte
+// identities.
 
 #ifndef SRC_SCENARIO_SPEC_H_
 #define SRC_SCENARIO_SPEC_H_
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/control_loop.h"
 #include "src/core/experiment.h"
 #include "src/fault/fault_plan.h"
 #include "src/workload/job_generator.h"
@@ -78,8 +81,10 @@ struct FaultSpec {
   FaultPlan inline_plan;
 };
 
-// Controller overrides; unset fields keep the trained defaults. Setting any of the
-// ControlLoopConfig fields (or `hardened: true` on the scenario / entry) compiles
+// Controller overrides; unset fields keep the trained defaults. Each knob's table row
+// (spec.cc) names the member it sets: period_seconds and max_tokens set
+// ExperimentOptions fields; every other knob overrides a ControlLoopConfig member,
+// and setting any of those (or `hardened: true` on the scenario / entry) compiles
 // into ExperimentOptions::control_override.
 struct ControlSpec {
   std::optional<double> period_seconds;
@@ -97,6 +102,12 @@ struct ControlSpec {
   // The cache only skips work — the event stream must match the uncached run
   // byte-for-byte once its marker events are stripped.
   std::optional<bool> decision_cache;
+
+  // True when a knob that overrides ControlLoopConfig is set.
+  bool OverridesController() const;
+  // Copies every set knob into the members it names.
+  void ApplyTo(ControlLoopConfig& config) const;
+  void ApplyTo(ExperimentOptions& options) const;
 };
 
 // One line of the workload mix. Per-entry fields override the scenario-level

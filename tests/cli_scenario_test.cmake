@@ -49,3 +49,17 @@ endif()
 if(NOT err_out MATCHES "cli_scenario_bad.yaml:3:" OR NOT err_out MATCHES "workload\\[0\\].job")
   message(FATAL_ERROR "diagnostic missing file:line or field path:\n${err_out}")
 endif()
+
+# A non-finite number is rejected at its line and field, not run with an infinite
+# deadline.
+set(INF ${CMAKE_CURRENT_BINARY_DIR}/cli_scenario_inf.yaml)
+file(WRITE ${INF} "name: inf\nworkload:\n  - job: A\n    deadline: {minutes: inf}\n")
+execute_process(COMMAND ${CLI} run ${INF} --no-cache
+                RESULT_VARIABLE rc ERROR_VARIABLE err_out)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "scenario with an infinite deadline was accepted")
+endif()
+if(NOT err_out MATCHES "cli_scenario_inf.yaml:4:"
+   OR NOT err_out MATCHES "workload\\[0\\].deadline.minutes")
+  message(FATAL_ERROR "diagnostic missing file:line or field path:\n${err_out}")
+endif()

@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "src/sim/table_cache.h"  // HashString: 64-bit FNV-1a
+
+#ifndef JOCKEY_SCENARIO_DIR
+#error "build must define JOCKEY_SCENARIO_DIR"
+#endif
 
 namespace jockey {
 namespace {
@@ -250,20 +258,22 @@ TEST(ScenarioSpecTest, CanonicalJsonRoundTripsByteIdentically) {
   EXPECT_EQ(WriteScenarioJson(*reparsed.spec), json);
 }
 
+constexpr char kInlineWindowsScenario[] =
+    "name: x\n"
+    "faults:\n"
+    "  seed: 13\n"
+    "  windows:\n"
+    "    - kind: machine_burst\n"
+    "      start: 100\n"
+    "      end: 400\n"
+    "      first_machine: 3\n"
+    "      machines: 5\n"
+    "workload:\n"
+    "  - job: A\n"
+    "    deadline: tight\n";
+
 TEST(ScenarioSpecTest, InlineFaultWindowsRoundTrip) {
-  ScenarioSpec spec = MustParse(
-      "name: x\n"
-      "faults:\n"
-      "  seed: 13\n"
-      "  windows:\n"
-      "    - kind: machine_burst\n"
-      "      start: 100\n"
-      "      end: 400\n"
-      "      first_machine: 3\n"
-      "      machines: 5\n"
-      "workload:\n"
-      "  - job: A\n"
-      "    deadline: tight\n");
+  ScenarioSpec spec = MustParse(kInlineWindowsScenario);
   ASSERT_TRUE(spec.faults.has_value());
   EXPECT_EQ(spec.faults->kind, FaultSpec::Kind::kInline);
   EXPECT_EQ(spec.faults->inline_plan.seed(), 13u);
@@ -339,6 +349,77 @@ TEST(ScenarioSpecTest, DegradedModeKnobRangesRejected) {
       "  - job: A\n"
       "    deadline: tight\n");
   EXPECT_EQ(issue.field, "control.grant_ratio_ewma");
+}
+
+// The canonical bytes of every checked-in scenario and of the two in-file documents,
+// pinned by length and FNV-1a: a change to the reader or writer that moves a key,
+// reformats a number or drops a default shows here. Each document must also be a
+// fixed point of parse -> write.
+TEST(ScenarioSpecTest, CanonicalJsonIsPinnedForEveryDocument) {
+  struct Golden {
+    const char* name;
+    std::string text;
+    size_t length;
+    uint64_t fnv1a;
+  };
+  auto read_scenario = [](const char* filename) {
+    std::ifstream in(std::string(JOCKEY_SCENARIO_DIR) + "/" + filename);
+    EXPECT_TRUE(in.good()) << "cannot read " << filename;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+  };
+  const Golden kGolden[] = {
+      {"burst_faults.yaml", read_scenario("burst_faults.yaml"), 523, 0x1bdf7866d31f76e7ULL},
+      {"chaos_dropout.yaml", read_scenario("chaos_dropout.yaml"), 205, 0xf1fc6e0da451f1c5ULL},
+      {"diurnal_mix.yaml", read_scenario("diurnal_mix.yaml"), 553, 0xd7a5f717b365428bULL},
+      {"fig6_overload.yaml", read_scenario("fig6_overload.yaml"), 246, 0x530c7abe41c11156ULL},
+      {"gray_failure.yaml", read_scenario("gray_failure.yaml"), 696, 0xd5c6b835b5ecfa8eULL},
+      {"policy_matrix.yaml", read_scenario("policy_matrix.yaml"), 406, 0x12798b71eba83a50ULL},
+      {"random_fleet.yaml", read_scenario("random_fleet.yaml"), 569, 0x39d3f52a2bebdd44ULL},
+      {"kFullScenario", kFullScenario, 806, 0xf17997f93f0378caULL},
+      {"kInlineWindowsScenario", kInlineWindowsScenario, 301, 0x6a28f753e5f8e07bULL},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.name);
+    std::string json = WriteScenarioJson(MustParse(golden.text));
+    EXPECT_EQ(json.size(), golden.length);
+    EXPECT_EQ(HashString(json), golden.fnv1a) << std::hex << "0x" << HashString(json);
+    EXPECT_EQ(WriteScenarioJson(MustParse(json)), json);
+  }
+}
+
+// Numbers go through the strict JSON number grammar: a value the canonical writer
+// could not spell back (non-finite, hex, out of range, a fraction where an integer
+// belongs) is rejected at its own line and field, never clamped or truncated.
+TEST(ScenarioSpecTest, RejectsNonFiniteAndNonCanonicalNumbers) {
+  constexpr char kWorkload[] = "workload:\n  - job: A\n    deadline: tight\n";
+  struct Row {
+    std::string text;
+    int line;
+    const char* field;
+  };
+  const Row kRows[] = {
+      {"name: x\nworkload:\n  - job: A\n    deadline: {minutes: inf}\n", 4,
+       "workload[0].deadline.minutes"},
+      {"name: x\nworkload:\n  - job: A\n    deadline: {minutes: nan}\n", 4,
+       "workload[0].deadline.minutes"},
+      {std::string("name: x\ninput_scale: 0x10\n") + kWorkload, 2, "input_scale"},
+      {std::string("name: x\nseed: 99999999999999999999999\n") + kWorkload, 2, "seed"},
+      {std::string("name: x\nrepeats: 1e300\n") + kWorkload, 2, "repeats"},
+      {std::string("name: x\nrepeats: 2.0\n") + kWorkload, 2, "repeats"},
+      {std::string("name: x\noverload:\n  start: 0\n  duration: 60\n  utilization: 1e999\n") +
+           kWorkload,
+       5, "overload.utilization"},
+      {std::string("name: x\ncontrol:\n  max_tokens: 3000000000\n") + kWorkload, 3,
+       "control.max_tokens"},
+  };
+  for (const Row& row : kRows) {
+    SCOPED_TRACE(row.text);
+    ScenarioParseIssue issue = MustFail(row.text);
+    EXPECT_EQ(issue.line, row.line);
+    EXPECT_EQ(issue.field, row.field);
+  }
 }
 
 TEST(ScenarioSpecTest, CommentsAndBlankLinesIgnored) {

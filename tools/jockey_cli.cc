@@ -1239,6 +1239,17 @@ int CmdTune(int argc, char** argv, const std::string& path, const std::string& t
   return obs.Finish();
 }
 
+// Events of a job whose job_submit was lost (a skipped malformed line, a cut head)
+// are missing from every per-job view: say how many, and fail. Returns the exit code.
+int FailOnUnsubmitted(int unsubmitted_events) {
+  if (unsubmitted_events > 0) {
+    std::fprintf(stderr, "error: events naming a job with no job_submit in their run: %d\n",
+                 unsubmitted_events);
+    return 1;
+  }
+  return 0;
+}
+
 int CmdReport(int argc, char** argv, const std::string& trace_path) {
   std::string chrome_out;
   std::string jsonl_out;
@@ -1332,8 +1343,10 @@ int CmdReport(int argc, char** argv, const std::string& trace_path) {
 
   // Task-attempt durations with *exact* quantiles (the histogram retains raw
   // samples), reconstructed from the dispatch/complete/kill spans.
+  int unsubmitted_events = 0;
   {
     PostmortemReport spans = BuildPostmortem(trace.events);
+    unsubmitted_events = spans.unsubmitted_events;
     Histogram durations(DefaultLatencySecondsEdges());
     for (const JobPostmortem& job : spans.jobs) {
       for (const TaskAttemptSpan& span : job.spans) {
@@ -1383,7 +1396,7 @@ int CmdReport(int argc, char** argv, const std::string& trace_path) {
     }
     std::printf("trace re-emitted to %s\n", jsonl_out.c_str());
   }
-  return 0;
+  return FailOnUnsubmitted(unsubmitted_events);
 }
 
 int CmdTimeline(int argc, char** argv, const std::string& series_path) {
@@ -1520,14 +1533,7 @@ int CmdPostmortem(int argc, char** argv, const std::string& trace_path) {
     // where (or whether) the JSON copy was written.
     std::fprintf(stderr, "postmortem JSON written to %s\n", json_out.c_str());
   }
-  // Events of a job whose job_submit was lost (a skipped malformed line, a cut
-  // head) are missing from the report above: say how many, and fail.
-  if (report.unsubmitted_events > 0) {
-    std::fprintf(stderr, "error: events naming a job with no job_submit in their run: %d\n",
-                 report.unsubmitted_events);
-    return 1;
-  }
-  return 0;
+  return FailOnUnsubmitted(report.unsubmitted_events);
 }
 
 int Main(int argc, char** argv) {
