@@ -66,9 +66,10 @@ int main() {
       }
     }
     double avg_change = total_change / runs;
+    std::string signed_change = avg_change >= 0 ? "+" : "";
+    signed_change.append(FormatPercent(avg_change, 0));
     table.AddRow({change.name, std::to_string(runs),
-                  std::to_string(met) + "/" + std::to_string(runs),
-                  (avg_change >= 0 ? "+" : "") + FormatPercent(avg_change, 0)});
+                  std::to_string(met) + "/" + std::to_string(runs), signed_change});
   }
   table.Print(std::cout);
   std::printf("\n(paper: all runs met the new deadline; halving raised allocation by\n");

@@ -1,17 +1,18 @@
 #include "src/obs/analysis/postmortem.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <deque>
-#include <map>
+#include <limits>
 #include <ostream>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/obs/json_format.h"
+#include "src/obs/prof/profiler.h"
 
 namespace jockey {
 
@@ -109,6 +110,84 @@ struct TickSample {
   double predicted = 0.0;
 };
 
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+// Open-addressing map from a task id to a dense slot number, handed out in order
+// of first sight. The trace reader accepts any int as an id, so an id is hashed,
+// never used as an index: the table grows with the ids seen, not with their
+// values. Fibonacci hashing spreads the dense ids the simulators write; the table
+// is kept at most half full.
+class SlotIndex {
+ public:
+  // The slot of `id`, or kNone.
+  uint32_t Find(int id) const { return entries_.empty() ? kNone : entries_[Probe(id)].slot; }
+
+  // The slot of `id`; an id not seen before gets the next slot number.
+  uint32_t Insert(int id) {
+    if (2 * (size_ + 1) > entries_.size()) {
+      std::vector<Entry> old = std::move(entries_);
+      entries_.assign(old.empty() ? 16 : 2 * old.size(), Entry{});
+      shift_ = 64 - std::countr_zero(entries_.size());
+      for (const Entry& entry : old) {
+        if (entry.slot != kNone) {
+          entries_[Probe(entry.id)] = entry;
+        }
+      }
+    }
+    Entry& entry = entries_[Probe(id)];
+    if (entry.slot == kNone) {
+      entry = {id, size_++};
+    }
+    return entry.slot;
+  }
+
+ private:
+  struct Entry {
+    int id = 0;
+    uint32_t slot = kNone;
+  };
+
+  // The position holding `id`, or the empty one where it would go.
+  size_t Probe(int id) const {
+    const size_t mask = entries_.size() - 1;
+    size_t i = (uint64_t{static_cast<uint32_t>(id)} * 0x9E3779B97F4A7C15ull) >> shift_;
+    while (entries_[i].slot != kNone && entries_[i].id != id) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  std::vector<Entry> entries_;
+  int shift_ = 64;
+  uint32_t size_ = 0;
+};
+
+// One task's scan state. Its lists thread through the job's pools by index, so a
+// task costs one slot and no allocation of its own.
+struct TaskAcc {
+  int task = 0;
+  bool has_ready = false;
+  bool has_completion = false;
+  bool on_path = false;           // already walked by the critical-path walk
+  double first_ready = 0.0;       // first DAG readiness
+  double completion = 0.0;        // winning (first) completion
+  uint32_t pending_head = kNone;  // ready times awaiting a dispatch, oldest first,
+  uint32_t pending_tail = kNone;  //   through JobAcc::ready_nodes
+  uint32_t open_top = kNone;      // newest open attempt; older ones via AttemptLinks::below
+  uint32_t last_attempt = kNone;  // newest attempt; older ones via AttemptLinks::earlier
+};
+
+struct ReadyNode {
+  double time = 0.0;
+  uint32_t next = kNone;
+};
+
+// Per attempt, parallel to JobAcc::spans.
+struct AttemptLinks {
+  uint32_t below = kNone;    // the next older attempt still open under this one
+  uint32_t earlier = kNone;  // the task's previous attempt
+};
+
 // Accumulated per-job state while scanning one run's events.
 struct JobAcc {
   int job = 0;
@@ -117,12 +196,34 @@ struct JobAcc {
   double finish = 0.0;              // absolute trace time of JobFinishEvent
   double completion_elapsed = 0.0;  // from JobFinishEvent
   std::vector<TaskAttemptSpan> spans;
-  std::map<int, std::vector<size_t>> open_by_task;   // open span indices, dispatch order
-  std::map<int, std::deque<double>> pending_ready;   // ready times awaiting a dispatch
-  std::map<int, double> first_ready;                 // first DAG-readiness per task
-  std::map<int, double> completion;                  // winning completion per task
+  std::vector<AttemptLinks> links;
+  SlotIndex task_index;
+  std::vector<TaskAcc> tasks;  // by task_index slot
+  std::vector<ReadyNode> ready_nodes;
   std::vector<ControlPoint> control;
   std::vector<TickSample> ticks;
+
+  // The slot of `task`, created on first sight. Valid until the next call.
+  TaskAcc& Task(int task) {
+    const uint32_t slot = task_index.Insert(task);
+    if (slot == tasks.size()) {
+      tasks.emplace_back().task = task;
+    }
+    return tasks[slot];
+  }
+
+  // The slot of `task`, or nullptr if no event has named it.
+  TaskAcc* FindTask(int task) {
+    const uint32_t slot = task_index.Find(task);
+    return slot == kNone ? nullptr : &tasks[slot];
+  }
+};
+
+// A task's winning completion, for the critical-path walk's time lookups.
+struct Completion {
+  double time = 0.0;
+  int task = 0;
+  uint32_t slot = 0;
 };
 
 double Quantile(const std::vector<double>& sorted, double q) {
@@ -150,7 +251,7 @@ class Analyzer {
     }
     if (event.kind() == EventKind::kJobSubmit) {
       int id = std::get<JobSubmitEvent>(event.payload).job;
-      if (jobs_.count(id) != 0) {
+      if (FindJob(id) != jobs_.end()) {
         FlushRun();
       }
     }
@@ -166,15 +267,25 @@ class Analyzer {
   }
 
  private:
+  // The job `id` if the current run has it, else where it would be inserted.
+  std::vector<JobAcc>::iterator LowerBoundJob(int id) {
+    return std::lower_bound(jobs_.begin(), jobs_.end(), id,
+                            [](const JobAcc& job, int v) { return job.job < v; });
+  }
+  std::vector<JobAcc>::iterator FindJob(int id) {
+    auto it = LowerBoundJob(id);
+    return it != jobs_.end() && it->job == id ? it : jobs_.end();
+  }
+
   // The accumulator of the job an event names, or nullptr when the current run has
   // no job_submit for it: the event is then skipped and counted.
   JobAcc* Submitted(int job) {
-    auto it = jobs_.find(job);
+    auto it = FindJob(job);
     if (it == jobs_.end()) {
       ++report_.unsubmitted_events;
       return nullptr;
     }
-    return &it->second;
+    return &*it;
   }
 
   void Dispatch(const TraceEvent& event) {
@@ -182,7 +293,8 @@ class Analyzer {
     switch (event.kind()) {
       case EventKind::kJobSubmit: {
         const auto& e = std::get<JobSubmitEvent>(event.payload);
-        JobAcc& job = jobs_[e.job];
+        // A new id: Consume flushed the run on a repeat.
+        JobAcc& job = *jobs_.emplace(LowerBoundJob(e.job));
         job.job = e.job;
         job.submit = t;
         break;
@@ -199,8 +311,19 @@ class Analyzer {
       case EventKind::kTaskReady: {
         const auto& e = std::get<TaskReadyEvent>(event.payload);
         if (JobAcc* job = Submitted(e.job)) {
-          job->pending_ready[e.task].push_back(t);
-          job->first_ready.emplace(e.task, t);
+          TaskAcc& task = job->Task(e.task);
+          const auto node = static_cast<uint32_t>(job->ready_nodes.size());
+          job->ready_nodes.push_back({t, kNone});
+          if (task.pending_tail == kNone) {
+            task.pending_head = node;
+          } else {
+            job->ready_nodes[task.pending_tail].next = node;
+          }
+          task.pending_tail = node;
+          if (!task.has_ready) {
+            task.has_ready = true;
+            task.first_ready = t;
+          }
         }
         break;
       }
@@ -220,14 +343,19 @@ class Analyzer {
         span.spare = e.spare;
         span.speculative = e.speculative;
         span.ready_seconds = t;  // speculative copies never waited in the queue
-        if (!e.speculative) {
-          auto pit = job.pending_ready.find(e.task);
-          if (pit != job.pending_ready.end() && !pit->second.empty()) {
-            span.ready_seconds = pit->second.front();
-            pit->second.pop_front();
+        TaskAcc& task = job.Task(e.task);
+        if (!e.speculative && task.pending_head != kNone) {
+          const ReadyNode& node = job.ready_nodes[task.pending_head];
+          span.ready_seconds = node.time;
+          task.pending_head = node.next;
+          if (task.pending_head == kNone) {
+            task.pending_tail = kNone;
           }
         }
-        job.open_by_task[e.task].push_back(job.spans.size());
+        const auto index = static_cast<uint32_t>(job.spans.size());
+        job.links.push_back({task.open_top, task.last_attempt});
+        task.open_top = index;
+        task.last_attempt = index;
         job.spans.push_back(span);
         break;
       }
@@ -238,30 +366,32 @@ class Analyzer {
           break;
         }
         JobAcc& job = *found;
-        auto oit = job.open_by_task.find(e.task);
-        if (oit != job.open_by_task.end()) {
-          // The winner is the most recent open attempt whose speculative flag
-          // matches (the spare flag is mutated by promote/demote, so it cannot
-          // identify attempts). Every other open copy was cancelled by the
-          // simulator the moment the winner finished: close them as superseded.
-          std::vector<size_t>& open = oit->second;
-          size_t winner = open.empty() ? job.spans.size() : open.back();
-          for (auto rit = open.rbegin(); rit != open.rend(); ++rit) {
-            if (job.spans[*rit].speculative == e.speculative) {
-              winner = *rit;
-              break;
-            }
+        TaskAcc& task = job.Task(e.task);
+        // The winner is the most recent open attempt whose speculative flag matches
+        // (the spare flag is mutated by promote/demote, so it cannot identify
+        // attempts), else the most recent open one. Every other open copy was
+        // cancelled by the simulator the moment the winner finished: close them as
+        // superseded.
+        uint32_t winner = task.open_top;
+        for (uint32_t i = task.open_top; i != kNone; i = job.links[i].below) {
+          if (job.spans[i].speculative == e.speculative) {
+            winner = i;
+            break;
           }
-          for (size_t idx : open) {
-            TaskAttemptSpan& span = job.spans[idx];
-            span.end_seconds = t;
-            span.outcome = idx == winner ? TaskAttemptSpan::Outcome::kCompleted
-                                         : TaskAttemptSpan::Outcome::kSuperseded;
-          }
-          job.open_by_task.erase(oit);
         }
-        job.pending_ready.erase(e.task);  // a requeued copy that never re-dispatched
-        job.completion.emplace(e.task, t);
+        for (uint32_t i = task.open_top; i != kNone; i = job.links[i].below) {
+          TaskAttemptSpan& span = job.spans[i];
+          span.end_seconds = t;
+          span.outcome = i == winner ? TaskAttemptSpan::Outcome::kCompleted
+                                     : TaskAttemptSpan::Outcome::kSuperseded;
+        }
+        task.open_top = kNone;
+        task.pending_head = kNone;  // a requeued copy that never re-dispatched
+        task.pending_tail = kNone;
+        if (!task.has_completion) {
+          task.has_completion = true;
+          task.completion = t;
+        }
         break;
       }
       case EventKind::kTaskKilled: {
@@ -271,19 +401,16 @@ class Analyzer {
           break;
         }
         JobAcc& job = *found;
-        auto oit = job.open_by_task.find(e.task);
-        if (oit == job.open_by_task.end() || oit->second.empty()) {
+        TaskAcc* task = job.FindTask(e.task);
+        if (task == nullptr || task->open_top == kNone) {
           break;
         }
         // Close the most recently dispatched open copy: unambiguous when only one
         // copy runs (requeued kills), and correct for spare eviction, which always
         // reclaims the newest spare.
-        size_t idx = oit->second.back();
-        oit->second.pop_back();
-        if (oit->second.empty()) {
-          job.open_by_task.erase(oit);
-        }
-        TaskAttemptSpan& span = job.spans[idx];
+        const uint32_t index = task->open_top;
+        task->open_top = job.links[index].below;
+        TaskAttemptSpan& span = job.spans[index];
         span.end_seconds = t;
         span.outcome = TaskAttemptSpan::Outcome::kKilled;
         span.kill_reason = e.reason;
@@ -314,8 +441,8 @@ class Analyzer {
         }
         // A blackout suppresses ticks, so there is no ControlTickEvent to hang the
         // state on; mark every affected job degraded from the symptom time.
-        for (auto& [id, job] : jobs_) {
-          if (e.job == -1 || e.job == id) {
+        for (JobAcc& job : jobs_) {
+          if (e.job == -1 || e.job == job.job) {
             AddControlPoint(job.control, t, false, /*has_lag=*/false, /*degraded=*/true);
           }
         }
@@ -329,7 +456,7 @@ class Analyzer {
   // Ends the current run segment: finalizes every open job and resets scan state.
   void FlushRun() {
     if (!jobs_.empty()) {
-      for (auto& [id, job] : jobs_) {
+      for (JobAcc& job : jobs_) {
         report_.jobs.push_back(FinalizeJob(job));
       }
       ++report_.runs;
@@ -346,10 +473,10 @@ class Analyzer {
     out.submit_seconds = job.submit;
     out.completion_seconds = job.completion_elapsed;
     // Anything still open when the trace ended stays visible as unresolved.
-    for (auto& [task, open] : job.open_by_task) {
-      for (size_t idx : open) {
-        job.spans[idx].end_seconds = std::max(job.spans[idx].dispatch_seconds, last_time_);
-        job.spans[idx].outcome = TaskAttemptSpan::Outcome::kUnresolved;
+    for (const TaskAcc& task : job.tasks) {
+      for (uint32_t i = task.open_top; i != kNone; i = job.links[i].below) {
+        job.spans[i].end_seconds = std::max(job.spans[i].dispatch_seconds, last_time_);
+        job.spans[i].outcome = TaskAttemptSpan::Outcome::kUnresolved;
       }
     }
     if (job.finished) {
@@ -363,46 +490,45 @@ class Analyzer {
     return out;
   }
 
-  void AttributeBudget(const JobAcc& job, JobPostmortem& out) {
-    // Completion time -> task, smallest task id winning exact-time collisions (any
-    // choice preserves the tiling invariant; this one is deterministic).
-    std::map<double, int> by_completion;
-    for (const auto& [task, t] : job.completion) {
-      by_completion.emplace(t, task);
+  void AttributeBudget(JobAcc& job, JobPostmortem& out) {
+    // Completion times sorted by (time, task id): the first entry at a time is the
+    // smallest task id completing then, the task an exact-time collision resolves
+    // to (any choice preserves the tiling invariant; this one is deterministic).
+    std::vector<Completion> by_time;
+    for (uint32_t slot = 0; slot < job.tasks.size(); ++slot) {
+      const TaskAcc& task = job.tasks[slot];
+      if (task.has_completion) {
+        by_time.push_back({task.completion, task.task, slot});
+      }
     }
-    std::map<int, std::vector<size_t>> spans_by_task;
-    for (size_t i = 0; i < job.spans.size(); ++i) {
-      spans_by_task[job.spans[i].task].push_back(i);
-    }
+    std::sort(by_time.begin(), by_time.end(), [](const Completion& a, const Completion& b) {
+      return a.time < b.time || (a.time == b.time && a.task < b.task);
+    });
+    auto completed_at = [&by_time](double t) -> const Completion* {
+      auto it = std::lower_bound(by_time.begin(), by_time.end(), t,
+                                 [](const Completion& c, double v) { return c.time < v; });
+      return it != by_time.end() && it->time == t ? &*it : nullptr;
+    };
     // Walk the realized critical path backwards from the task that completed at
     // the finish instant. A task's first ready time is exactly its enabling
     // predecessor's completion time (DrainReady runs inside OnTaskComplete at the
     // same simulated instant), so the walk needs only exact double equality.
-    int cur = -1;
-    auto fit = by_completion.find(job.finish);
-    if (fit != by_completion.end()) {
-      cur = fit->second;
-    } else if (!by_completion.empty()) {
-      cur = std::prev(by_completion.end())->second;
+    const Completion* cur = completed_at(job.finish);
+    if (cur == nullptr && !by_time.empty()) {
+      cur = completed_at(by_time.back().time);
     }
-    std::set<int> visited;
     double path_start = job.finish;
-    while (cur >= 0 && visited.insert(cur).second) {
-      out.critical_path_tasks.push_back(cur);
-      auto rit = job.first_ready.find(cur);
-      double ready = rit != job.first_ready.end() ? rit->second : job.submit;
-      auto cit = job.completion.find(cur);
-      double done = cit != job.completion.end() ? cit->second : ready;
-      AttributeInterval(job, spans_by_task, cur, ready, done, out.budget);
+    while (cur != nullptr && cur->task >= 0 && !job.tasks[cur->slot].on_path) {
+      TaskAcc& task = job.tasks[cur->slot];
+      task.on_path = true;
+      out.critical_path_tasks.push_back(task.task);
+      double ready = task.has_ready ? task.first_ready : job.submit;
+      AttributeInterval(job, task, ready, task.completion, out.budget);
       path_start = ready;
       if (ready <= job.submit) {
         break;
       }
-      auto pit = by_completion.find(ready);
-      if (pit == by_completion.end() || pit->second == cur) {
-        break;
-      }
-      cur = pit->second;
+      cur = completed_at(ready);
     }
     std::reverse(out.critical_path_tasks.begin(), out.critical_path_tasks.end());
     // If the chain broke above the submit time (possible only via exact-time
@@ -416,17 +542,14 @@ class Analyzer {
   // task at each instant. Precedence where attempts overlap: the winning attempt
   // counts as exec; killed attempts as rework (eviction before failure); cancelled
   // duplicates as speculation overlap; otherwise the task was waiting.
-  void AttributeInterval(const JobAcc& job, const std::map<int, std::vector<size_t>>& by_task,
-                         int task, double ready, double done, LatencyBudget& budget) {
+  void AttributeInterval(const JobAcc& job, const TaskAcc& task, double ready, double done,
+                         LatencyBudget& budget) {
     if (done <= ready) {
       return;
     }
     std::vector<const TaskAttemptSpan*> spans;
-    auto sit = by_task.find(task);
-    if (sit != by_task.end()) {
-      for (size_t idx : sit->second) {
-        spans.push_back(&job.spans[idx]);
-      }
+    for (uint32_t i = task.last_attempt; i != kNone; i = job.links[i].earlier) {
+      spans.push_back(&job.spans[i]);
     }
     std::vector<double> cuts;
     cuts.push_back(ready);
@@ -502,28 +625,25 @@ class Analyzer {
     cal.mean_abs_error = abs_sum / static_cast<double>(abs_errors.size());
     cal.p50_abs_error = Quantile(abs_errors, 0.5);
     int n = std::max(1, options_.progress_buckets);
+    std::vector<std::vector<double>> errors_by_bucket(static_cast<size_t>(n));
+    std::vector<double> sums(static_cast<size_t>(n), 0.0);
+    for (const CalSample& s : calibration_samples_) {
+      double p = std::clamp(s.progress, 0.0, 1.0);
+      auto idx = static_cast<size_t>(std::min(n - 1, static_cast<int>(p * n)));
+      errors_by_bucket[idx].push_back(s.error);
+      sums[idx] += s.error;
+    }
     for (int b = 0; b < n; ++b) {
-      double lo = static_cast<double>(b) / n;
-      double hi = static_cast<double>(b + 1) / n;
-      std::vector<double> errors;
-      double sum = 0.0;
-      for (const CalSample& s : calibration_samples_) {
-        double p = std::clamp(s.progress, 0.0, 1.0);
-        int idx = std::min(n - 1, static_cast<int>(p * n));
-        if (idx == b) {
-          errors.push_back(s.error);
-          sum += s.error;
-        }
-      }
+      std::vector<double>& errors = errors_by_bucket[static_cast<size_t>(b)];
       if (errors.empty()) {
         continue;
       }
       std::sort(errors.begin(), errors.end());
       CalibrationBucket bucket;
-      bucket.progress_lo = lo;
-      bucket.progress_hi = hi;
+      bucket.progress_lo = static_cast<double>(b) / n;
+      bucket.progress_hi = static_cast<double>(b + 1) / n;
       bucket.samples = static_cast<int>(errors.size());
-      bucket.mean_error = sum / static_cast<double>(errors.size());
+      bucket.mean_error = sums[static_cast<size_t>(b)] / static_cast<double>(errors.size());
       bucket.p10_error = Quantile(errors, 0.1);
       bucket.p50_error = Quantile(errors, 0.5);
       bucket.p90_error = Quantile(errors, 0.9);
@@ -557,7 +677,7 @@ class Analyzer {
 
   PostmortemOptions options_;
   PostmortemReport report_;
-  std::map<int, JobAcc> jobs_;
+  std::vector<JobAcc> jobs_;  // the current run's jobs, by id
   double last_time_ = -1e300;
   std::vector<CalSample> calibration_samples_;
 };
@@ -593,10 +713,23 @@ void WriteBudgetJson(std::ostream& os, const LatencyBudget& budget) {
   os << "}";
 }
 
+// The top-3 blame as `[{"component": ..., "seconds": ...}, ...]`.
+void WriteBlameJson(std::ostream& os, const LatencyBudget& budget) {
+  os << "[";
+  const char* separator = "";
+  for (const BudgetComponent& c : BlameRanking(budget, 3)) {
+    os << separator << "{\"component\": \"" << c.name
+       << "\", \"seconds\": " << JsonNumber(c.seconds) << "}";
+    separator = ", ";
+  }
+  os << "]";
+}
+
 }  // namespace
 
 PostmortemReport BuildPostmortem(const std::vector<TraceEvent>& events,
                                  const PostmortemOptions& options) {
+  prof::Scope scope("postmortem");
   Analyzer analyzer(options);
   for (const TraceEvent& event : events) {
     analyzer.Consume(event);
@@ -636,31 +769,15 @@ void WritePostmortemJson(std::ostream& os, const PostmortemReport& report) {
        << ", \"killed\": " << outcomes[1] << ", \"superseded\": " << outcomes[2]
        << ", \"unresolved\": " << outcomes[3];
     os << ",\n     \"critical_path_len\": " << job.critical_path_tasks.size();
-    os << ",\n     \"blame\": [";
-    bool first_blame = true;
-    for (const BudgetComponent& c : BlameRanking(job.budget, 3)) {
-      if (!first_blame) {
-        os << ", ";
-      }
-      first_blame = false;
-      os << "{\"component\": \"" << c.name << "\", \"seconds\": " << JsonNumber(c.seconds)
-         << "}";
-    }
-    os << "]}";
+    os << ",\n     \"blame\": ";
+    WriteBlameJson(os, job.budget);
+    os << "}";
   }
   os << "\n  ],\n  \"aggregate\": {\"budget\": ";
   WriteBudgetJson(os, report.total_budget);
-  os << ", \"blame\": [";
-  bool first_blame = true;
-  for (const BudgetComponent& c : BlameRanking(report.total_budget, 3)) {
-    if (!first_blame) {
-      os << ", ";
-    }
-    first_blame = false;
-    os << "{\"component\": \"" << c.name << "\", \"seconds\": " << JsonNumber(c.seconds)
-       << "}";
-  }
-  os << "]},\n  \"calibration\": {\"samples\": " << report.calibration.samples
+  os << ", \"blame\": ";
+  WriteBlameJson(os, report.total_budget);
+  os << "},\n  \"calibration\": {\"samples\": " << report.calibration.samples
      << ", \"mean_abs_error_seconds\": " << JsonNumber(report.calibration.mean_abs_error)
      << ", \"p50_abs_error_seconds\": " << JsonNumber(report.calibration.p50_abs_error)
      << ",\n    \"buckets\": [";

@@ -29,8 +29,13 @@
 // seeded runs) are segmented automatically: a JobSubmitEvent for an already-open
 // job id, or time running backwards, starts a new run.
 //
-// Determinism: all containers are ordered, all numbers format via JsonNumber, so
-// the JSON report is byte-identical across reruns of the same seeded trace.
+// Cost: one linear pass. Each event costs O(1) and allocates nothing of its own:
+// per-task state lives in flat per-job slots reached through a hash of the task
+// id, so the memory grows with the events, never with an id's value.
+//
+// Determinism: jobs report in id order, critical-path ties break by task id, and all
+// numbers format via JsonNumber, so the JSON report is byte-identical across reruns
+// of the same seeded trace.
 
 #ifndef SRC_OBS_ANALYSIS_POSTMORTEM_H_
 #define SRC_OBS_ANALYSIS_POSTMORTEM_H_

@@ -147,7 +147,8 @@ bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEven
                         TraceParseIssue* issue) {
   auto fail = [issue](std::string_view field, std::string message) {
     if (issue != nullptr) {
-      issue->field = field;
+      issue->field.clear();
+      issue->field.append(field);  // appended: assigning trips GCC 12's -Wrestrict at -O3
       issue->message = std::move(message);
     }
     return false;
@@ -165,7 +166,9 @@ bool ParseTraceLineInto(std::string_view line, FlatJsonFields& fields, TraceEven
   }
   std::optional<EventKind> kind_index = EnumFromName<EventKind>(*kind);
   if (!kind_index.has_value()) {
-    return fail("kind", "unknown kind '" + std::string(*kind) + "'");
+    std::string message = "unknown kind '";
+    message.append(*kind).append("'");
+    return fail("kind", std::move(message));
   }
   if (!kPayloadReaders[static_cast<size_t>(*kind_index)](fields, event.payload)) {
     return fail(fields.rejected_key, "missing or malformed field");

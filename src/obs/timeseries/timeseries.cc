@@ -8,6 +8,7 @@
 
 #include "src/obs/json_format.h"
 #include "src/obs/jsonl.h"
+#include "src/obs/prof/profiler.h"
 
 namespace jockey {
 namespace {
@@ -448,6 +449,7 @@ TimeSeries FilterTimeSeries(const TimeSeries& series, const TimelineFilter& filt
 }
 
 void WriteTimelineJson(std::ostream& os, const TimeSeries& series) {
+  prof::Scope scope("timeline");
   os << "{\n  \"sample_period_seconds\": " << JsonNumber(series.sample_period_seconds)
      << ",\n  \"runs\": [";
   bool first_run = true;
@@ -508,6 +510,7 @@ void WriteTimelineJson(std::ostream& os, const TimeSeries& series) {
 }
 
 void WriteTimelineCsv(std::ostream& os, const TimeSeries& series) {
+  prof::Scope scope("timeline");
   os << "run,series,job,t,value\n";
   for (const RunTimeline& run : series.runs) {
     for (const ClusterSample& s : run.cluster) {
@@ -543,6 +546,7 @@ void WriteTimelineCsv(std::ostream& os, const TimeSeries& series) {
 }
 
 void PrintTimeline(std::ostream& os, const TimeSeries& series) {
+  prof::Scope scope("timeline");
   os << "timeline: " << series.runs.size() << " run(s), sample period "
      << JsonNumber(series.sample_period_seconds) << "s\n";
   for (const RunTimeline& run : series.runs) {

@@ -168,7 +168,9 @@ CompiledScenario CompileScenario(const ScenarioSpec& spec, JobCatalog& catalog,
       for (int i = 0; i < repeats; ++i) {
         uint64_t episode_seed = base_seed + static_cast<uint64_t>(i);
         ExperimentSpec episode;
-        episode.label = "w" + std::to_string(ei) + "." + job.name + "#" + std::to_string(i);
+        // Appended piece by piece: operator+ chains trip GCC 12's -Wrestrict at -O3.
+        episode.label.append("w").append(std::to_string(ei)).append(".").append(job.name);
+        episode.label.append("#").append(std::to_string(i));
         episode.job_name = job.name;
         episode.arrival_seconds = 0.0;
         episode.options = BuildOptions(spec, entry, job, deadline, episode_seed, options);
@@ -196,7 +198,8 @@ CompiledScenario CompileScenario(const ScenarioSpec& spec, JobCatalog& catalog,
       double deadline = ResolveDeadline(entry.deadline, job);
       uint64_t episode_seed = spec.seed + episode_index;
       ExperimentSpec episode;
-      episode.label = phase.name + "." + job.name + "#" + std::to_string(episode_index);
+      episode.label.append(phase.name).append(".").append(job.name).append("#");
+      episode.label.append(std::to_string(episode_index));
       episode.job_name = job.name;
       episode.phase = phase.name;
       episode.arrival_seconds = t;

@@ -273,7 +273,7 @@ TEST(DegradationTest, HardenedControllerBeatsVanillaUnderChaos) {
     double deadline;
     double input_scale;
     int max_tokens;
-    std::optional<DeadlineChange> deadline_change;
+    std::optional<DeadlineChange> deadline_change = std::nullopt;
     bool use_spare = false;
   };
   std::vector<Class> classes;

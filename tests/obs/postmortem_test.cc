@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <climits>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +19,37 @@
 #include "src/fault/fault_plan.h"
 #include "src/obs/jsonl.h"
 #include "src/workload/job_generator.h"
+
+namespace {
+
+// Bytes requested from the global allocator, so a test can bound what one call
+// allocates. Counting only: every plain and nothrow request is served by malloc
+// and freed by the matching delete below; the array and aligned forms keep their
+// library (or sanitizer) pairs.
+std::atomic<size_t> g_allocated_bytes{0};
+
+}  // namespace
+
+// Out of line, so that GCC does not pair an inlined free() with a new-expression
+// and warn about a mismatch.
+__attribute__((noinline)) void* operator new(size_t size) {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, size_t /*size*/) noexcept {
+  std::free(p);
+}
 
 namespace jockey {
 namespace {
@@ -176,6 +211,72 @@ TEST(PostmortemTest, MultiRunTraceSegmentsOnResubmit) {
   EXPECT_EQ(report.jobs[0].run_index, 0);
   EXPECT_EQ(report.jobs[1].run_index, 1);
   EXPECT_DOUBLE_EQ(report.jobs[1].budget.Total(), 5.0);
+}
+
+// Task ids the trace reader accepts but no simulator writes: negative and INT_MAX
+// ids, a completion and a kill with no dispatch, a ready task never dispatched, and
+// a repeated completion. The report is pinned, and the analysis allocates in
+// proportion to the events, never to the value of an id.
+TEST(PostmortemTest, HostileTaskIdsKeepTheReportAndBoundedMemory) {
+  std::vector<TraceEvent> ev;
+  Submit(ev, 0.0, 0, 4);
+  Ready(ev, 0.0, -1);
+  Ready(ev, 0.0, INT_MAX);
+  Ready(ev, 0.0, 5);  // never dispatched
+  Dispatch(ev, 1.0, -1);
+  Dispatch(ev, 1.0, INT_MAX);
+  Complete(ev, 2.0, 7);  // no dispatch
+  Killed(ev, 2.5, 8, KillReason::kTaskFailure, /*requeued=*/false);  // no dispatch
+  Complete(ev, 3.0, -1);
+  Killed(ev, 3.75, INT_MAX, KillReason::kSpareEviction, /*requeued=*/true);
+  Ready(ev, 3.75, INT_MAX, /*requeued=*/true);
+  Dispatch(ev, 4.0, INT_MAX);
+  Complete(ev, 6.0, INT_MAX);
+  Ready(ev, 6.0, 9);  // enabled by INT_MAX's first completion
+  Dispatch(ev, 6.5, 9);
+  Complete(ev, 7.0, INT_MAX);  // repeated
+  Complete(ev, 8.0, 9);
+  Finish(ev, 8.0, 8.0);
+
+  PostmortemOptions options;
+  options.deadline_seconds = 5.0;
+  const size_t before = g_allocated_bytes.load();
+  PostmortemReport report = BuildPostmortem(ev, options);
+  const size_t allocated = g_allocated_bytes.load() - before;
+  EXPECT_LT(allocated, size_t{1} << 16);
+
+  ASSERT_EQ(report.jobs.size(), 1u);
+  const JobPostmortem& job = report.jobs[0];
+  EXPECT_EQ(report.unsubmitted_events, 0);
+  EXPECT_EQ(report.misses, 1);
+  // Task -1 completes at 3.0, but the walk never enters a negative id.
+  EXPECT_EQ(job.critical_path_tasks, (std::vector<int>{INT_MAX, 9}));
+  ASSERT_EQ(job.spans.size(), 4u);
+  const struct {
+    int task;
+    double ready;
+    double dispatch;
+    double end;
+    TaskAttemptSpan::Outcome outcome;
+  } kSpans[] = {
+      {-1, 0.0, 1.0, 3.0, TaskAttemptSpan::Outcome::kCompleted},
+      {INT_MAX, 0.0, 1.0, 3.75, TaskAttemptSpan::Outcome::kKilled},
+      {INT_MAX, 3.75, 4.0, 6.0, TaskAttemptSpan::Outcome::kCompleted},
+      {9, 6.0, 6.5, 8.0, TaskAttemptSpan::Outcome::kCompleted},
+  };
+  for (size_t i = 0; i < job.spans.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(job.spans[i].task, kSpans[i].task);
+    EXPECT_EQ(job.spans[i].ready_seconds, kSpans[i].ready);
+    EXPECT_EQ(job.spans[i].dispatch_seconds, kSpans[i].dispatch);
+    EXPECT_EQ(job.spans[i].end_seconds, kSpans[i].end);
+    EXPECT_EQ(job.spans[i].outcome, kSpans[i].outcome);
+  }
+  EXPECT_EQ(job.spans[1].kill_reason, KillReason::kSpareEviction);
+  EXPECT_DOUBLE_EQ(job.budget.queue, 1.75);            // [0,1) + [3.75,4) + [6,6.5)
+  EXPECT_DOUBLE_EQ(job.budget.eviction_rework, 2.75);  // [1,3.75)
+  EXPECT_DOUBLE_EQ(job.budget.exec, 3.5);              // [4,6) + [6.5,8)
+  EXPECT_DOUBLE_EQ(job.budget.Total(), 8.0);
 }
 
 // -- Real traces through the experiment harness.

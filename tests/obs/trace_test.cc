@@ -138,8 +138,12 @@ TEST(TraceJsonlTest, EveryKindRejectsUndefinedAndMissingKeys) {
           continue;
         }
         dropped += dropped.size() > 1 ? ",\"" : "\"";
-        dropped += std::string(field.key) + "\":";
-        dropped += field.quoted ? "\"" + std::string(field.value) + "\"" : std::string(field.value);
+        dropped.append(field.key).append("\":");
+        if (field.quoted) {
+          dropped.append("\"").append(field.value).append("\"");
+        } else {
+          dropped.append(field.value);
+        }
       }
       dropped += '}';
       EXPECT_FALSE(ParseTraceLine(dropped, &issue).has_value()) << dropped;

@@ -27,7 +27,7 @@ JobProfile FixedProfile(const JobGraph& graph, double task_seconds) {
 JobGraph Chain(int stages, int tasks_per_stage, bool barriers) {
   std::vector<StageSpec> specs(static_cast<size_t>(stages));
   for (int s = 0; s < stages; ++s) {
-    specs[static_cast<size_t>(s)].name = "s" + std::to_string(s);
+    specs[static_cast<size_t>(s)].name.append("s").append(std::to_string(s));
     specs[static_cast<size_t>(s)].num_tasks = tasks_per_stage;
     if (s > 0) {
       specs[static_cast<size_t>(s)].inputs.push_back(
